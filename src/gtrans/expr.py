@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .errors import EvalError, NO_POS, Position, UnresolvedNameError
+from .errors import EvalError, LimitError, NO_POS, Position, UnresolvedNameError
 from .lexer import Token, TokenKind
 
 Value = Union[int, str]
@@ -51,6 +51,12 @@ PRECEDENCE = {
 
 _UNARY = ("!", "~", "-")
 
+# Deepest expression nesting accepted.  Each parenthesis, each unary
+# operator and each right operand of a tighter-binding operator opens one
+# level.  A level costs the evaluator at most three Python frames, so 200
+# levels stay well inside the interpreter's default recursion limit.
+MAX_NESTING = 200
+
 
 def wrap64(v: int) -> int:
     """Reduce to signed 64-bit two's complement."""
@@ -65,34 +71,18 @@ def truthy(v: Value) -> bool:
 
 
 class SymbolTable:
-    """Name to value bindings with optional lexical parent."""
+    """Name to value bindings."""
 
-    __slots__ = ("bindings", "parent")
+    __slots__ = ("bindings",)
 
-    def __init__(self, initial: dict | None = None, parent: "SymbolTable | None" = None):
+    def __init__(self, initial: dict | None = None):
         self.bindings: dict[str, Value] = dict(initial) if initial else {}
-        self.parent = parent
 
     def get(self, name: str) -> Value | None:
-        table: SymbolTable | None = self
-        while table is not None:
-            if name in table.bindings:
-                return table.bindings[name]
-            table = table.parent
-        return None
+        return self.bindings.get(name)
 
     def assign(self, name: str, value: Value) -> None:
-        """Rebind where the name already lives, else bind locally."""
-        table: SymbolTable | None = self
-        while table is not None:
-            if name in table.bindings:
-                table.bindings[name] = value
-                return
-            table = table.parent
         self.bindings[name] = value
-
-    def child(self) -> "SymbolTable":
-        return SymbolTable(parent=self)
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -106,6 +96,7 @@ class _Evaluator:
         self.lookup = lookup
         self.tolerant = tolerant
         self.i = 0
+        self.depth = 0
 
     # -- cursor helpers --
 
@@ -125,6 +116,11 @@ class _Evaluator:
     def fail(self, message: str) -> None:
         raise EvalError(message, self.here())
 
+    def too_deep(self) -> None:
+        raise LimitError(
+            f"expression nesting exceeds {MAX_NESTING} levels", self.here()
+        )
+
     def value_fault(self, message: str, pos: Position) -> int:
         """A fault in a computed value.  Gives 0 under tolerant."""
         if self.tolerant:
@@ -134,14 +130,17 @@ class _Evaluator:
     # -- grammar --
 
     def expression(self, min_prec: int = 1, dead: bool = False) -> Value:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.too_deep()
         left = self.unary(dead)
         while True:
             tok = self.peek()
             if tok is None or tok.kind is not TokenKind.OPERATOR:
-                return left
+                break
             prec = PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
-                return left
+                break
             self.i += 1
             if tok.text in ("&&", "||"):
                 left = self.logical(tok, left, prec, dead)
@@ -149,6 +148,8 @@ class _Evaluator:
                 right = self.expression(prec + 1, dead)
                 if not dead:
                     left = self.binary(tok, left, right)
+        self.depth -= 1
+        return left
 
     def logical(self, tok: Token, left: Value, prec: int, dead: bool) -> Value:
         if dead:
@@ -164,8 +165,12 @@ class _Evaluator:
     def unary(self, dead: bool) -> Value:
         tok = self.peek()
         if tok is not None and tok.kind is TokenKind.OPERATOR and tok.text in _UNARY:
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.too_deep()
             self.i += 1
             operand = self.unary(dead)
+            self.depth -= 1
             if dead:
                 return 0
             if tok.text == "!":
@@ -279,10 +284,6 @@ def evaluate(tokens, lookup: Lookup | None = None, *, tolerant: bool = False) ->
     return value
 
 
-def eval_condition(tokens, lookup: Lookup | None = None) -> bool:
-    return truthy(evaluate(tokens, lookup))
-
-
 def eval_values(
     tokens,
     lookup: Lookup | None = None,
@@ -317,10 +318,10 @@ __all__ = [
     "INT64_MAX",
     "INT64_MIN",
     "Lookup",
+    "MAX_NESTING",
     "PRECEDENCE",
     "SymbolTable",
     "Value",
-    "eval_condition",
     "eval_values",
     "evaluate",
     "truthy",

@@ -1,34 +1,17 @@
 """Tokenizer and line taxonomy.
 
-The scanner kernel exists twice: gtrans.lexer._pylex (pure Python) and
-gtrans.lexer._speedups (optional Cython build of the same loop).  The
-compiled one is picked at import when present; set GTRANS_PURE=1 in the
-environment to force the fallback.  Everything above the kernel lives
-here and is shared by both.
+The scan kernel in gtrans.lexer._pylex turns one line of text into raw
+(kind, text, value, column) tuples; this module wraps them as Tokens and
+classifies each token line by its shape.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import LexError, NO_POS, Position
-from . import _pylex
-from ._pylex import ScanError
-
-if os.environ.get("GTRANS_PURE"):
-    _scan = _pylex.scan
-    USING_COMPILED = False
-else:
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-    except ImportError:
-        _scan = _pylex.scan
-        USING_COMPILED = False
-    else:
-        _scan = _speedups.scan
-        USING_COMPILED = True
+from ._pylex import ScanError, scan
 
 
 class TokenKind(enum.IntEnum):
@@ -54,12 +37,52 @@ class LineKind(enum.Enum):
     PLAIN = "plain"
 
 
-@dataclass(frozen=True)
+# kind code of the scan kernel -> TokenKind, by index
+_KINDS = tuple(TokenKind)
+
+
 class Token:
+    """One token: kind, text, integer value (0 unless INTEGER), position.
+
+    Equality and hashing ignore the position.  Tokens are immutable.  The
+    tokens of one lexed line share that line's Position object, and each
+    token keeps only its own column; ``pos`` joins the two on demand.
+    """
+
+    __slots__ = ("kind", "text", "value", "_line_pos", "_col")
+
     kind: TokenKind
     text: str
-    value: int = 0
-    pos: Position = field(default=NO_POS, compare=False)
+    value: int
+
+    def __new__(
+        cls, kind: TokenKind, text: str, value: int = 0, pos: Position = NO_POS
+    ) -> Token:
+        return _make(kind, text, value, pos, pos.column)
+
+    @property
+    def pos(self) -> Position:
+        p = self._line_pos
+        col = self._col
+        return p if col == p.column else Position(p.file, p.line, col)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of a Token")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of a Token")
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.text, self.value) == (
+            other.kind,
+            other.text,
+            other.value,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.value))
 
     def is_op(self, text: str) -> bool:
         return self.kind is TokenKind.OPERATOR and self.text == text
@@ -76,7 +99,23 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-@dataclass(frozen=True)
+# Slot setters write past the immutability guard; only construction uses them.
+_set_kind, _set_text, _set_value, _set_line_pos, _set_col = (
+    Token.__dict__[name].__set__ for name in Token.__slots__
+)
+
+
+def _make(kind, text, value, line_pos, col) -> Token:
+    tok = object.__new__(Token)
+    _set_kind(tok, kind)
+    _set_text(tok, text)
+    _set_value(tok, value)
+    _set_line_pos(tok, line_pos)
+    _set_col(tok, col)
+    return tok
+
+
+@dataclass(frozen=True, slots=True)
 class Line:
     tokens: tuple[Token, ...]
     kind: LineKind
@@ -98,16 +137,22 @@ def tokenize(text: str, file: str = "<input>", line: int = 1) -> list[Token]:
     directive key; the same spelling later in a line is a plain
     identifier, which is what lets a class be named '#define'.
     """
+    return _tokens(text, Position(file, line, 1))
+
+
+def _tokens(text: str, line_pos: Position) -> list[Token]:
+    """Tokens of one line, all sharing line_pos (the line's column 1)."""
     try:
-        raw = _scan(text)
+        raw = scan(text)
     except ScanError as exc:
-        raise LexError(exc.message, Position(file, line, exc.column)) from None
-    tokens: list[Token] = []
-    for kind, tok_text, value, col in raw:
-        tk = TokenKind(kind)
-        if not tokens and tk is TokenKind.IDENTIFIER and tok_text[0] in "#@":
-            tk = TokenKind.DIRECTIVE_KEY
-        tokens.append(Token(tk, tok_text, value, Position(file, line, col)))
+        raise LexError(
+            exc.message, Position(line_pos.file, line_pos.line, exc.column)
+        ) from None
+    tokens = [_make(_KINDS[k], t, v, line_pos, col) for k, t, v, col in raw]
+    if tokens:
+        t0 = tokens[0]
+        if t0.kind is TokenKind.IDENTIFIER and t0.text[0] in "#@":
+            _set_kind(t0, TokenKind.DIRECTIVE_KEY)
     return tokens
 
 
@@ -173,8 +218,9 @@ def tokenize_lines(text: str, file: str = "<input>") -> list[Line]:
     """Tokenize a whole text, one Line per physical line, numbered from 1."""
     lines: list[Line] = []
     for num, raw in enumerate(text.split("\n"), start=1):
-        tokens = tokenize(raw, file, num)
-        lines.append(Line(tuple(tokens), classify(tokens), Position(file, num, 1)))
+        pos = Position(file, num, 1)
+        tokens = _tokens(raw, pos)
+        lines.append(Line(tuple(tokens), classify(tokens), pos))
     return lines
 
 
@@ -184,7 +230,6 @@ __all__ = [
     "LineKind",
     "Token",
     "TokenKind",
-    "USING_COMPILED",
     "classify",
     "make_line",
     "render",

@@ -1,14 +1,13 @@
-"""Pure Python scanner kernel.
+"""Scan kernel of the lexer.
 
 Turns one line of text into (kind, text, value, column) tuples.  This is
 the hot loop of the whole translator, so it is written flat and index
-based: gtrans/lexer/_speedups.pyx is a direct port of this file and the
-two must stay behaviourally identical (tests/test_lexer.py checks that).
+based.
 
-Kinds are small ints here; the public wrapper maps them to an enum.
+Kinds are small ints here; gtrans.lexer maps them to TokenKind by index.
 """
 
-# kind codes shared with the compiled scanner
+# kind codes, in TokenKind order
 K_IDENT = 0
 K_INT = 1
 K_STRING = 2

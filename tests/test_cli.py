@@ -1,5 +1,6 @@
 """Driver tests: argument parsing, file plumbing, formats, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -127,6 +128,39 @@ def test_fault_positions_name_the_file(tmp_path):
     assert report.status == "user-error" and data is None
     assert "prog.src:2" in report.diagnostics[-1]
     assert "unexpected" in report.diagnostics[-1]
+
+
+_DEEP = "(" * 3000 + "1" + ")" * 3000
+# each operator binds tighter than the one before, so every right operand
+# nests one level deeper even without parentheses
+_CLIMB = "1 || 1 && 1 | 1 ^ 1 & 1 = 1 < 1 << 1 + 1 * ("
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "db " + _DEEP + "\n",
+        "db " + "-" * 5000 + "1\n",
+        "@if " + _DEEP + "\n@endif\n",
+        "#if " + _DEEP + "\n#endif\n",
+        "db " + _CLIMB * 100 + "1" + ")" * 100 + "\n",
+    ],
+    ids=["db-parens", "db-minus", "dest-if", "source-if", "precedence-climb"],
+)
+def test_deep_expression_is_a_user_error(tmp_path, source):
+    report, data = run_files(tmp_path, source)
+    assert report.status == "user-error" and data is None
+    assert re.fullmatch(
+        r".*prog\.src:1:\d+: expression nesting exceeds 200 levels",
+        report.diagnostics[-1],
+    ), report.diagnostics
+
+
+def test_nesting_under_the_limit_evaluates(tmp_path):
+    source = "db " + "(" * 150 + "7" + ")" * 150 + ", " + "-" * 150 + "7\n"
+    report, data = run_files(tmp_path, source)
+    assert report.status == "ok"
+    assert data == b"\x07\x07"
 
 
 def test_missing_source_file(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gtrans.errors import LexError
+from gtrans.errors import LexError, Position
 from gtrans.lexer import (
     LineKind,
     Token,
@@ -14,7 +14,6 @@ from gtrans.lexer import (
     tokenize,
     tokenize_lines,
 )
-from gtrans.lexer import _pylex
 
 
 def kinds_texts(tokens):
@@ -206,51 +205,40 @@ def test_render_round_trip():
         ]
 
 
-def test_compiled_matches_pure():
-    """Both scanner kernels agree token for token, fault for fault."""
-    _speedups = pytest.importorskip("gtrans.lexer._speedups")
+def test_token_positions_share_the_line():
+    """Every token's pos names its own line and column of the raw text.
 
-    rng = random.Random(77)
-    alphabet = "ab_ 019x'\"#@+-*/%<>=!&|^~()[]{},:;.?$\t"
-    for _ in range(500):
-        line = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
-        try:
-            expect = ("ok", _pylex.scan(line))
-        except _pylex.ScanError as exc:
-            expect = ("err", exc.message, exc.column)
-        try:
-            got = ("ok", _speedups.scan(line))
-        except _pylex.ScanError as exc:
-            got = ("err", exc.message, exc.column)
-        assert got == expect, "kernel mismatch on %r" % line
-
-
-def test_pure_mode_env_switch():
-    """GTRANS_PURE=1 routes a fresh process to the pure kernel.
-
-    The switch is read once at import, so it needs its own interpreter.
-    The child inherits the environment and imports the same gtrans as
-    this process, whether that comes from an install or from PYTHONPATH.
+    Tokens of one line share that line's Position and keep only their
+    column, so this checks the joined value over random multi-line text.
     """
-    import os
-    import subprocess
-    import sys
+    rng = random.Random(4242)
+    for _ in range(40):
+        raw_lines = []
+        for _ in range(rng.randrange(1, 8)):
+            pieces = [_random_piece(rng) for _ in range(rng.randrange(0, 8))]
+            if pieces and rng.random() < 0.2:
+                pieces.insert(0, rng.choice(["#if", "@while", "#print"]))
+            raw_lines.append(
+                "".join(" " * rng.randrange(1, 4) + p for p in pieces)
+            )
+        lines = tokenize_lines("\n".join(raw_lines), "f")
+        assert len(lines) == len(raw_lines)
+        for line_no, (line, raw) in enumerate(zip(lines, raw_lines), start=1):
+            assert line.pos == Position("f", line_no, 1)
+            for tok in line.tokens:
+                col = tok.pos.column
+                assert tok.pos == Position("f", line_no, col)
+                assert raw[col - 1 :].startswith(tok.text)
+            shifted = tokenize("   " + raw, "g", line_no + 100)
+            assert shifted == list(line.tokens)
+            assert [hash(t) for t in shifted] == [hash(t) for t in line.tokens]
 
-    from gtrans import lexer
 
-    here = os.path.abspath(lexer.__file__)
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import os, gtrans.lexer as L; print(os.path.abspath(L.__file__)); "
-            "print(L.USING_COMPILED); print(L._scan is L._pylex.scan)",
-        ],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, GTRANS_PURE="1", PYTHONPATH=path),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [here, "False", "True"], out.stderr
+def test_tokens_are_immutable():
+    tok = tokenize("db 0x90")[1]
+    for name in ("kind", "text", "value", "pos"):
+        with pytest.raises(AttributeError):
+            setattr(tok, name, getattr(tok, name))
+    with pytest.raises(AttributeError):
+        del tok.text
+    assert (tok.text, tok.value) == ("0x90", 0x90)
