@@ -3,7 +3,8 @@
 Source text is interpreted twice.  The first pass executes `#` control
 directives and expands user-defined pattern classes, producing a flat
 intermediate stream of tokens.  The second pass executes `@` directives
-over that stream, resolves labels in two sweeps, and emits a byte image.
+over that stream once, emits a byte image, and patches the values that
+name labels defined later when the run ends.
 """
 
 from .errors import (

@@ -62,17 +62,6 @@ class ClassDef:
     seq: int
     pos: Position
 
-    def pattern_text(self) -> str:
-        parts = [self.name]
-        for e in self.fixed:
-            if isinstance(e, Param):
-                parts.append(e.name)
-            else:
-                parts.extend(e.texts)
-        if self.variadic is not None:
-            parts.extend(["..", self.variadic])
-        return " ".join(parts)
-
 
 def parse_pattern(tokens: Sequence[Token], pos: Position):
     """Header tokens after the class name -> (fixed elements, variadic).

@@ -1,14 +1,21 @@
-"""Second pass: '@' directives, labels, and byte emission.
+"""Second phase: '@' directives, labels, and byte emission.
 
-The intermediate stream is executed twice with identical control flow.
-The sizing run assigns every label its offset, treating any name it has
-not seen yet as zero inside data values; the final run re-executes with
-the complete label table and writes the image.  Conditions, assignment
-right sides and reserve counts always resolve strictly against names
-defined so far, in both runs, so control flow and sizes cannot differ
-between them.  Only data values and reserve fills may look forward.
+The intermediate stream is executed once.  Every expression sees the
+symbols assigned so far, then the labels defined so far.  Conditions,
+assignment right sides and reserve counts never look forward, so each
+label's offset and each line's size are known when the line runs.
 
-Before either run, '@if [name]' blocks are treated as guarded regions:
+Data values and reserve fills may name a later label.  A value whose
+evaluation fails is written as zero units and recorded as a fixup: where
+its bytes are, its tokens, the values its names had at that moment, and
+the length of the diagnostics log.  When the run ends, normally or at
+'@error', the fixups are evaluated in order against those values and the
+labels defined by then, range-checked under strict, and written in place.
+The first that fails is the translation's error, and the log is cut back
+to what it held when that value's line ran.  An error raised by a line
+during the run ends the translation before any fixup is evaluated.
+
+Before the run, '@if [name]' blocks are treated as guarded regions:
 a region stays only while its name is referenced from somewhere outside
 every region of that name.  Starting from all regions included, regions
 whose names lose their references are dropped until nothing changes,
@@ -17,6 +24,7 @@ which removes procedures that are only used by other removed procedures.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,20 +39,13 @@ from .errors import (
     TranslationError,
     UserAbort,
 )
-from .expr import SymbolTable, Value, _Evaluator, eval_values, evaluate, truthy
-from .lexer import (
-    DATA_KEYWORDS,
-    Line,
-    LineKind,
-    Token,
-    TokenKind,
-    _dotted_name_end,
-)
+from .expr import SymbolTable, Value, eval_values, evaluate, split_values, truthy
+from .lexer import DATA_KEYWORDS, Line, LineKind, Token, TokenKind, dotted_name_end
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """Byte range produced by one stream line."""
 
@@ -137,30 +138,21 @@ def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
 
 
 class _DestHandler:
-    def __init__(self, env, labels, defined, image, final, diagnostics, limits):
+    def __init__(self, env, image, diagnostics, limits):
         self.env: SymbolTable = env
-        self.labels: dict[str, int] = labels
-        self.defined: dict[str, int] = defined
         self.image: EmitImage = image
-        self.final: bool = final
+        self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
         self.limits: Limits = limits
+        # (id(line), value index) -> (tokens, names, unit size, line pos)
+        self.deferred: dict[tuple[int, int], tuple] = {}
+        # (start, end, same line run as the previous, deferred entry,
+        #  values of the entry's names then, log length then)
+        self.fixups: list[tuple] = []
 
-    # conditions, counts, assignments: names defined so far, strictly
-    def cond_lookup(self, name: str) -> Optional[Value]:
+    def lookup(self, name: str) -> Optional[Value]:
         value = self.env.get(name)
-        if value is not None:
-            return value
-        return self.defined.get(name)
-
-    # data values: the full label table once it exists
-    def value_lookup(self, name: str) -> Optional[Value]:
-        value = self.env.get(name)
-        if value is not None:
-            return value
-        if self.final:
-            return self.labels.get(name)
-        return self.defined.get(name)
+        return self.labels.get(name) if value is None else value
 
     def condition(self, args, pos: Position, keyword: str) -> bool:
         if _guard_name(args) is not None:
@@ -168,20 +160,19 @@ class _DestHandler:
             return True
         if not args:
             raise EvalError("missing condition", pos)
-        return truthy(evaluate(args, self.cond_lookup))
+        return truthy(evaluate(args, self.lookup))
 
     def count(self, args, pos: Position, what: str) -> int:
-        value = evaluate(args, self.cond_lookup)
+        value = evaluate(args, self.lookup)
         if not isinstance(value, int):
             raise EvalError(f"{what} must be an integer", pos)
         return value
 
     def values(self, args, pos: Position) -> list[Value]:
-        return eval_values(args, self.cond_lookup)
+        return eval_values(args, self.lookup)
 
     def report(self, message: str) -> None:
-        if self.final:
-            self.diagnostics.append(message)
+        self.diagnostics.append(message)
 
     def unknown(self, line: Line, engine) -> Optional[int]:
         raise StructureError(
@@ -193,12 +184,7 @@ class _DestHandler:
         if kind is LineKind.ASSIGNMENT:
             self._assignment(line)
         elif kind is LineKind.LABEL:
-            name = ".".join(
-                t.text
-                for t in line.tokens[:-1]
-                if t.kind is TokenKind.IDENTIFIER
-            )
-            self._define_label(name, line.pos)
+            self._define_label(_name(line.tokens[:-1]), line.pos)
         elif kind is LineKind.DATA_EMISSION:
             self._data_line(line, list(line.tokens))
         elif kind is LineKind.PLAIN:
@@ -216,37 +202,23 @@ class _DestHandler:
     def _assignment(self, line: Line) -> None:
         tokens = line.tokens
         eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
-        name = ".".join(
-            t.text for t in tokens[:eq] if t.kind is TokenKind.IDENTIFIER
-        )
-        self.env.assign(name, evaluate(tokens[eq + 1 :], self.cond_lookup))
+        self.env.assign(_name(tokens[:eq]), evaluate(tokens[eq + 1 :], self.lookup))
 
     def _define_label(self, name: str, pos: Position) -> None:
-        offset = len(self.image.data)
-        if not self.final:
-            if name in self.labels:
-                raise TranslationError(f"duplicate label '{name}'", pos)
-            self.labels[name] = offset
-        elif self.labels.get(name) != offset:
-            raise InternalError(
-                f"label '{name}' moved between passes "
-                f"({self.labels.get(name)} -> {offset})"
-            )
-        self.defined[name] = offset
+        if name in self.labels:
+            raise TranslationError(f"duplicate label '{name}'", pos)
+        self.labels[name] = len(self.image.data)
 
     def _labeled_data(self, line: Line) -> None:
         tokens = list(line.tokens)
-        j = _dotted_name_end(tokens)
+        j = dotted_name_end(tokens)
         k = j + 1 if j < len(tokens) and tokens[j].is_punct(":") else j
         if (
             k < len(tokens)
             and tokens[k].kind is TokenKind.IDENTIFIER
             and tokens[k].text in DATA_KEYWORDS
         ):
-            name = ".".join(
-                t.text for t in tokens[:j] if t.kind is TokenKind.IDENTIFIER
-            )
-            self._define_label(name, line.pos)
+            self._define_label(_name(tokens[:j]), line.pos)
             self._data_line(line, tokens[k:])
             return
         raise TranslationError("unrecognized statement", line.pos)
@@ -255,38 +227,45 @@ class _DestHandler:
         keyword = tokens[0].text
         size = _SIZES[keyword[1]]
         args = tokens[1:]
-        start = len(self.image.data)
-        if keyword[0] == "d":
-            if not args:
-                raise EmitError(f"'{keyword}' needs at least one value", line.pos)
-            values = eval_values(
-                args,
-                self.value_lookup,
-                placeholders=True,
-                tolerant=not self.final,
-            )
-            for v in values:
-                if v is None:
-                    self._emit_int(0, size, line.pos)
-                elif isinstance(v, str):
-                    self._emit_string(v, keyword, line.pos)
-                else:
-                    self._emit_int(v, size, line.pos)
+        data = self.image.data
+        start = len(data)
+        if keyword[0] == "r":
+            self._reserve(line, args, size)
+        elif not args:
+            raise EmitError(f"'{keyword}' needs at least one value", line.pos)
         else:
-            count, fill = self._reserve_args(args, line.pos)
-            unit = self._unit_bytes(fill, size, line.pos)
-            self.image.data += unit * count
-        end = len(self.image.data)
+            # every value is evaluated before any is written
+            parts = list(split_values(args))
+            values = [0 if p is None else self._now(p) for p in parts]
+            joined = False
+            for idx, value in enumerate(values):
+                if value is None:
+                    self._defer(line, idx, parts[idx], size, size, joined)
+                    joined = True
+                elif isinstance(value, str):
+                    self._emit_string(value, keyword, line.pos)
+                else:
+                    data += self._unit_bytes(value, size, line.pos)
+        end = len(data)
         if end > start:
             self.image.spans.append(Span(line, start, end))
 
-    def _reserve_args(self, args, pos: Position) -> tuple[int, int]:
+    def _reserve(self, line: Line, args, size: int) -> None:
         """count [,] [value].  The count never looks forward; the value
         may, like any data value."""
+        pos = line.pos
         if not args:
             raise EmitError("reserve needs a count", pos)
-        ev = _Evaluator(args, self.cond_lookup, tolerant=False)
-        count = ev.expression()
+        parts = split_values(args)
+        try:
+            count_tokens = next(parts)
+        except TranslationError:
+            count_tokens = None
+        if count_tokens is None:
+            # a '?' or malformed count: fail where evaluating while parsing
+            # does, at the first value fault or parse fault
+            evaluate(args, self.lookup)
+        count = evaluate(count_tokens, self.lookup)
         if not isinstance(count, int):
             raise EmitError("reserve count must be an integer", pos)
         if count < 0:
@@ -295,42 +274,75 @@ class _DestHandler:
             raise LimitError(
                 f"reserve count exceeds {self.limits.max_loop}", pos
             )
-        fill: Value = 0
-        if not ev.at_end():
-            if ev.peek().is_punct(","):
-                ev.i += 1
-            if ev.at_end():
+        rest = args[len(count_tokens) :]
+        if rest and rest[0].is_punct(","):
+            rest = rest[1:]
+            if not rest:
                 raise EvalError("expected a value after ','", pos)
-            if ev.peek().is_punct("?"):
-                ev.i += 1
-            else:
-                ev.lookup = self.value_lookup
-                ev.tolerant = not self.final
-                fill = ev.expression()
-            if not ev.at_end():
-                raise EmitError(
-                    "reserve takes a count and at most one value", pos
-                )
-        if not isinstance(fill, int):
+        fill_tokens = next(parts) if rest else None
+        if len(rest) > (1 if fill_tokens is None else len(fill_tokens)):
+            raise EmitError("reserve takes a count and at most one value", pos)
+        fill = 0 if fill_tokens is None else self._now(fill_tokens)
+        if fill is None:
+            self._defer(line, 1, fill_tokens, size, size * count, False)
+        elif not isinstance(fill, int):
             raise EmitError("reserve value must be an integer", pos)
-        return count, fill
+        else:
+            self.image.data += self._unit_bytes(fill, size, pos) * count
+
+    def _now(self, tokens) -> Optional[Value]:
+        """The value of tokens now, or None when it has to wait."""
+        try:
+            return evaluate(tokens, self.lookup)
+        except EvalError:
+            return None
+
+    def _defer(self, line, idx, tokens, size, nbytes, joined) -> None:
+        """Write nbytes of zeros and record a fixup for them."""
+        key = (id(line), idx)
+        entry = self.deferred.get(key)
+        if entry is None:
+            entry = self.deferred[key] = (tokens, _names(tokens), size, line.pos)
+        start = len(self.image.data)
+        saved = tuple(map(self.env.get, entry[1]))
+        self.fixups.append(
+            (start, start + nbytes, joined, entry, saved, len(self.diagnostics))
+        )
+        self.image.data += bytes(nbytes)
+
+    def patch(self) -> None:
+        """Evaluate the fixups in order and write them in place.
+
+        Within one run of a line every value is evaluated before any is
+        range-checked, as when the line's values are written directly.
+        """
+        labels, data = self.labels, self.image.data
+        unfit = None  # (error, log length) of the current line run
+        for start, end, joined, entry, saved, mark in self.fixups:
+            if unfit is not None and not joined:
+                break
+            tokens, names, size, pos = entry
+            seen = {n: v for n, v in zip(names, saved) if v is not None}
+            try:
+                value = evaluate(tokens, ChainMap(seen, labels).get)
+            except EvalError:
+                del self.diagnostics[mark:]
+                raise
+            try:
+                unit = self._unit_bytes(value, size, pos)
+            except EmitError as exc:
+                unfit = unfit or (exc, mark)
+                continue
+            data[start:end] = unit * ((end - start) // size)
+        if unfit is not None:
+            del self.diagnostics[unfit[1] :]
+            raise unfit[0]
 
     def _unit_bytes(self, v: int, size: int, pos: Position) -> bytes:
-        self._range_check(v, size, pos)
-        return (v & ((1 << (8 * size)) - 1)).to_bytes(size, self.image.endian)
-
-    def _emit_int(self, v: int, size: int, pos: Position) -> None:
-        self.image.data += self._unit_bytes(v, size, pos)
-
-    def _range_check(self, v: int, size: int, pos: Position) -> None:
-        if not self.image.strict:
-            return
-        lo = -(1 << (8 * size - 1))
-        hi = 1 << (8 * size)
-        if not lo <= v < hi:
-            raise EmitError(
-                f"value {v} does not fit in {size} byte(s)", pos
-            )
+        bits = 8 * size
+        if self.image.strict and not -(1 << bits - 1) <= v < 1 << bits:
+            raise EmitError(f"value {v} does not fit in {size} byte(s)", pos)
+        return (v & ((1 << bits) - 1)).to_bytes(size, self.image.endian)
 
     def _emit_string(self, s: str, keyword: str, pos: Position) -> None:
         if keyword != "db":
@@ -338,31 +350,26 @@ class _DestHandler:
         try:
             self.image.data += s.encode("latin-1")
         except UnicodeEncodeError:
-            raise EmitError(
-                "string has characters above 0xFF", pos
-            ) from None
+            raise EmitError("string has characters above 0xFF", pos) from None
 
 
-def _run_pass(
-    visible_lines,
-    defines: dict,
-    labels: dict,
-    image: EmitImage,
-    final: bool,
-    diagnostics,
-    limits: Limits,
-) -> None:
-    env = SymbolTable(dict(defines))
-    handler = _DestHandler(
-        env, labels, {}, image, final, diagnostics, limits
-    )
-    engine = ControlEngine("@", handler, limits, track_braces=False)
-    try:
-        engine.run(visible_lines)
-    except UserAbort:
-        if final:
-            raise
-        # the sizing run stops exactly where the final run will abort
+def _name(tokens) -> str:
+    """The dotted name spelled by the identifiers among tokens."""
+    return ".".join(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
+
+
+def _names(tokens) -> tuple[str, ...]:
+    """Every name a value mentions, live or in a skipped branch."""
+    names = {}
+    i = 0
+    while i < len(tokens):
+        if tokens[i].kind is TokenKind.IDENTIFIER:
+            j = dotted_name_end(tokens, i)
+            names[_name(tokens[i:j])] = None
+            i = j
+        else:
+            i += 1
+    return tuple(names)
 
 
 def run_dest_phase(
@@ -375,21 +382,20 @@ def run_dest_phase(
     limits: Optional[Limits] = None,
 ) -> EmitImage:
     lines = list(stream.lines if hasattr(stream, "lines") else stream)
-    defines = defines or {}
     diagnostics = diagnostics if diagnostics is not None else []
     limits = limits or Limits()
     visible_idx, _ = resolve_guarded_regions(lines)
-    visible = [lines[k] for k in visible_idx]
-    labels: dict[str, int] = {}
-    sizing = EmitImage(endian=endian, strict=strict)
-    _run_pass(visible, defines, labels, sizing, False, diagnostics, limits)
-    image = EmitImage(endian=endian, strict=strict, labels=labels)
-    _run_pass(visible, defines, labels, image, True, diagnostics, limits)
-    if len(image.data) != len(sizing.data):
-        raise InternalError(
-            "image size changed between passes "
-            f"({len(sizing.data)} -> {len(image.data)})"
-        )
+    image = EmitImage(endian=endian, strict=strict)
+    handler = _DestHandler(
+        SymbolTable(dict(defines or {})), image, diagnostics, limits
+    )
+    engine = ControlEngine("@", handler, limits, track_braces=False)
+    try:
+        engine.run([lines[k] for k in visible_idx])
+    except UserAbort:
+        handler.patch()
+        raise
+    handler.patch()
     return image
 
 

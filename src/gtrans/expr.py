@@ -8,10 +8,8 @@ defined for integers only.
 
 Evaluation is precedence climbing straight over the tokens, no tree.
 A skipped branch of '&&'/'||' is still parsed but produces nothing, so
-its faults stay silent; 'tolerant' extends that silence to value faults
-in live code (unknown names, zero division, type mismatches give 0),
-which is what a sizing pass needs when labels are not yet known.  Parse
-faults are never silenced.
+its faults stay silent.  split_values parses a value list the same way
+without evaluating it, for callers that evaluate each value on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .errors import EvalError, LimitError, NO_POS, Position, UnresolvedNameError
-from .lexer import Token, TokenKind
+from .lexer import Token, TokenKind, dotted_name_end
 
 Value = Union[int, str]
 # returns None for names it does not know
@@ -91,10 +89,9 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 class _Evaluator:
-    def __init__(self, tokens, lookup: Lookup | None, tolerant: bool):
+    def __init__(self, tokens, lookup: Lookup | None):
         self.tokens = list(tokens)
         self.lookup = lookup
-        self.tolerant = tolerant
         self.i = 0
         self.depth = 0
 
@@ -120,12 +117,6 @@ class _Evaluator:
         raise LimitError(
             f"expression nesting exceeds {MAX_NESTING} levels", self.here()
         )
-
-    def value_fault(self, message: str, pos: Position) -> int:
-        """A fault in a computed value.  Gives 0 under tolerant."""
-        if self.tolerant:
-            return 0
-        raise EvalError(message, pos)
 
     # -- grammar --
 
@@ -176,7 +167,7 @@ class _Evaluator:
             if tok.text == "!":
                 return 0 if truthy(operand) else 1
             if not isinstance(operand, int):
-                return self.value_fault(
+                raise EvalError(
                     f"operator '{tok.text}' needs an integer operand", tok.pos
                 )
             if tok.text == "~":
@@ -201,20 +192,15 @@ class _Evaluator:
             self.i += 1
             return value
         if tok.kind is TokenKind.IDENTIFIER:
-            name = tok.text
-            while (
-                self.i + 1 < len(self.tokens)
-                and self.tokens[self.i].is_punct(".")
-                and self.tokens[self.i + 1].kind is TokenKind.IDENTIFIER
-            ):
-                name += "." + self.tokens[self.i + 1].text
-                self.i += 2
+            start = self.i - 1
+            self.i = dotted_name_end(self.tokens, start)
             if dead:
                 return 0
+            name = tok.text
+            if self.i > start + 1:
+                name = ".".join(t.text for t in self.tokens[start : self.i : 2])
             value = self.lookup(name) if self.lookup is not None else None
             if value is None:
-                if self.tolerant:
-                    return 0
                 raise UnresolvedNameError(name, tok.pos)
             return value
         self.fail(f"unexpected '{tok.text}'")
@@ -226,32 +212,30 @@ class _Evaluator:
                 return a + b
             if isinstance(a, int) and isinstance(b, int):
                 return wrap64(a + b)
-            return self.value_fault(
+            raise EvalError(
                 "operator '+' needs two integers or two strings", tok.pos
             )
         if not (isinstance(a, int) and isinstance(b, int)):
-            return self.value_fault(
-                f"operator '{op}' needs integer operands", tok.pos
-            )
+            raise EvalError(f"operator '{op}' needs integer operands", tok.pos)
         if op == "-":
             return wrap64(a - b)
         if op == "*":
             return wrap64(a * b)
         if op == "/":
             if b == 0:
-                return self.value_fault("division by zero", tok.pos)
+                raise EvalError("division by zero", tok.pos)
             return wrap64(_trunc_div(a, b))
         if op == "%":
             if b == 0:
-                return self.value_fault("modulo by zero", tok.pos)
+                raise EvalError("modulo by zero", tok.pos)
             return wrap64(a - _trunc_div(a, b) * b)
         if op == "<<":
             if not 0 <= b <= 63:
-                return self.value_fault("shift count out of range", tok.pos)
+                raise EvalError("shift count out of range", tok.pos)
             return wrap64(a << b)
         if op == ">>":
             if not 0 <= b <= 63:
-                return self.value_fault("shift count out of range", tok.pos)
+                raise EvalError("shift count out of range", tok.pos)
             return a >> b
         if op == "&":
             return wrap64(a & b)
@@ -273,9 +257,9 @@ class _Evaluator:
         return 1 if a >= b else 0
 
 
-def evaluate(tokens, lookup: Lookup | None = None, *, tolerant: bool = False) -> Value:
+def evaluate(tokens, lookup: Lookup | None = None) -> Value:
     """Evaluate a token sequence as one expression, whole."""
-    ev = _Evaluator(tokens, lookup, tolerant)
+    ev = _Evaluator(tokens, lookup)
     if ev.at_end():
         ev.fail("expected an expression")
     value = ev.expression()
@@ -284,34 +268,42 @@ def evaluate(tokens, lookup: Lookup | None = None, *, tolerant: bool = False) ->
     return value
 
 
-def eval_values(
-    tokens,
-    lookup: Lookup | None = None,
-    *,
-    placeholders: bool = False,
-    tolerant: bool = False,
-) -> list[Value | None]:
-    """Evaluate a value list: expressions, optionally comma separated.
-
-    Each value takes the longest parse it can.  With placeholders on, a
-    bare '?' stands for one default-valued unit and comes back as None.
-    """
-    ev = _Evaluator(tokens, lookup, tolerant)
-    values: list[Value | None] = []
+def _value_list(ev: _Evaluator, split: bool):
+    """Walk a value list: expressions, optionally comma separated, each
+    taking the longest parse it can.  Yields each value; with split, each
+    value's tokens unevaluated, or None for a bare '?'."""
     while not ev.at_end():
-        tok = ev.peek()
-        if placeholders and tok.is_punct("?"):
+        start = ev.i
+        if not split:
+            yield ev.expression()
+        elif ev.peek().is_punct("?"):
             ev.i += 1
-            values.append(None)
+            yield None
         else:
-            values.append(ev.expression())
+            ev.expression(dead=True)
+            yield ev.tokens[start : ev.i]
         if ev.at_end():
             break
         if ev.peek().is_punct(","):
             ev.i += 1
             if ev.at_end():
                 ev.fail("expected a value after ','")
-    return values
+
+
+def eval_values(tokens, lookup: Lookup | None = None) -> list[Value]:
+    """Evaluate a value list; each value is evaluated before the next is
+    parsed."""
+    return list(_value_list(_Evaluator(tokens, lookup), split=False))
+
+
+def split_values(tokens):
+    """Parse a value list without evaluating it.
+
+    Yields one token slice per value, or None for a bare '?' (one
+    default-valued unit).  Parse faults raise when iteration reaches
+    them, so a caller can act on one value before the next is parsed.
+    """
+    return _value_list(_Evaluator(tokens, None), split=True)
 
 
 __all__ = [
@@ -324,6 +316,7 @@ __all__ = [
     "Value",
     "eval_values",
     "evaluate",
+    "split_values",
     "truthy",
     "wrap64",
 ]

@@ -161,9 +161,9 @@ def render(tokens) -> str:
     return " ".join(t.text for t in tokens)
 
 
-def _dotted_name_end(tokens) -> int:
-    """Index just past a leading ident ('.' ident)* chain."""
-    j = 1
+def dotted_name_end(tokens, start: int = 0) -> int:
+    """Index just past the ident ('.' ident)* chain that starts at start."""
+    j = start + 1
     while (
         j + 1 < len(tokens)
         and tokens[j].is_punct(".")
@@ -196,7 +196,7 @@ def classify(tokens) -> LineKind:
         return LineKind.PLAIN
     if t0.text == "class":
         return LineKind.CLASS_DEFINITION
-    j = _dotted_name_end(tokens)
+    j = dotted_name_end(tokens)
     if j < len(tokens):
         t = tokens[j]
         if t.is_punct(":") and j == len(tokens) - 1:
@@ -231,6 +231,7 @@ __all__ = [
     "Token",
     "TokenKind",
     "classify",
+    "dotted_name_end",
     "make_line",
     "render",
     "tokenize",

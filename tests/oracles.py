@@ -2,8 +2,9 @@
 
 Nothing in here imports gtrans.  Each oracle re-derives its answer by a
 different route than the package (a throwaway regex scanner plus an AST
-walker for expressions, exhaustive enumeration for splits and guard
-subsets) so agreement between the two is meaningful.
+walker for expressions, a separate sizing walk for label layout,
+exhaustive enumeration for splits and guard subsets) so agreement
+between the two is meaningful.
 """
 
 import re
@@ -233,6 +234,48 @@ def _eval_node(node, env):
 def oracle_eval(text, env=None):
     """Evaluate an expression string.  Raises OracleError on any fault."""
     return _eval_node(_Parser(_oracle_scan(text)).parse(), env or {})
+
+
+# --- layout oracle: offsets first, then bytes --------------------------
+
+_UNIT_SIZES = {"db": 1, "dw": 2, "dd": 4, "rb": 1}
+
+
+def oracle_layout(lines):
+    """Bytes and label offsets of a straight-line program.
+
+    Lines are 'name :', 'db|dw|dd e, ...', 'rb n, e' with a literal n,
+    and 'v = e'.  A first walk only counts units, which fixes every label;
+    a second walk evaluates each value against the variables assigned so
+    far and the complete label table, like a classic two-pass assembler.
+    Raises OracleError on any fault.
+    """
+    labels = {}
+    offset = 0
+    for line in lines:
+        head, _, rest = line.partition(" ")
+        if rest == ":":
+            labels[head] = offset
+        elif head == "rb":
+            offset += int(rest.split(",")[0])
+        elif head in _UNIT_SIZES:
+            offset += _UNIT_SIZES[head] * len(rest.split(","))
+    env = dict(labels)
+    out = bytearray()
+    for line in lines:
+        head, _, rest = line.partition(" ")
+        if rest.startswith("= "):
+            env[head] = oracle_eval(rest[2:], env)
+        elif head in _UNIT_SIZES:
+            size = _UNIT_SIZES[head]
+            if head == "rb":
+                count, fill = rest.split(",")
+                units = [oracle_eval(fill, env)] * int(count)
+            else:
+                units = [oracle_eval(text, env) for text in rest.split(",")]
+            for v in units:
+                out += (v % (1 << (8 * size))).to_bytes(size, "little")
+    return bytes(out), labels
 
 
 # --- split oracle: exhaustive search over separator positions -----------

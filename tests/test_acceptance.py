@@ -7,10 +7,13 @@ surface (the CLI pipeline or a whole phase), not internal helpers.
 import random
 import time
 
+import pytest
+
 from gtrans.classes import ClassTable
 from gtrans.cli import TranslatorConfig, translate
 from gtrans.dest_phase import resolve_guarded_regions, run_dest_phase
 from gtrans.engine import Limits
+from gtrans.errors import StructureError
 from gtrans.expr import SymbolTable, evaluate
 from gtrans.lexer import tokenize, tokenize_lines
 from gtrans.source_phase import run_source_phase
@@ -241,14 +244,26 @@ def test_c09_directive_engines_agree():
     seed = random.Random(271828)
     for _ in range(100):
         stamp = seed.randrange(1 << 30)
-        src = gen_directive_program(random.Random(stamp), "#")
-        dst = gen_directive_program(random.Random(stamp), "@")
-        _, first_log = phase1(src)
-        second_log = []
-        run_dest_phase(
-            tokenize_lines(dst, "t.s"), {}, diagnostics=second_log
-        )
+        # each program ends in a run error; what was printed before it
+        # must agree too
+        src = gen_directive_program(random.Random(stamp), "#") + "\n#break\n"
+        dst = gen_directive_program(random.Random(stamp), "@") + "\n@break\n"
+        first_log, second_log = [], []
+        with pytest.raises(StructureError) as first:
+            run_source_phase(
+                tokenize_lines(src, "t.s"),
+                SymbolTable(),
+                ClassTable(),
+                first_log,
+                Limits(),
+            )
+        with pytest.raises(StructureError) as second:
+            run_dest_phase(
+                tokenize_lines(dst, "t.s"), {}, diagnostics=second_log
+            )
         assert first_log == second_log
+        assert str(first.value) == str(second.value)
+        assert str(second.value).endswith("break outside of a loop")
 
 
 def test_c10_emission_laws():

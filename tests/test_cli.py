@@ -176,6 +176,14 @@ def test_print_order_crosses_phases(tmp_path):
     assert report.diagnostics == ["first", "second"]
 
 
+def test_print_before_a_run_error_is_kept(tmp_path):
+    report, data = run_files(tmp_path, "@print 1\n@break\n")
+    assert report.status == "user-error" and data is None
+    assert report.diagnostics[0] == "1"
+    assert report.diagnostics[1].endswith("prog.src:2:1: break outside of a loop")
+    assert len(report.diagnostics) == 2
+
+
 def test_byte_count_matches_raw_length(tmp_path):
     report, data = run_files(tmp_path, "rw 3\ndb 1, 2\n")
     assert report.byte_count == 8 == len(data)

@@ -1,4 +1,4 @@
-"""Second-phase tests: emission, labels, two-pass sizing, guards."""
+"""Second-phase tests: emission, labels, forward-reference fixups, guards."""
 
 import random
 
@@ -17,7 +17,7 @@ from gtrans.errors import (
 )
 from gtrans.lexer import tokenize_lines
 
-from oracles import largest_consistent_subset
+from oracles import OracleError, largest_consistent_subset, oracle_layout
 
 
 def emit(src, defines=None, **kw):
@@ -26,6 +26,18 @@ def emit(src, defines=None, **kw):
 
 def hexdata(src, **kw):
     return emit(src, **kw).data.hex()
+
+
+def printed(src, **kw):
+    """What the driver prints for src: the log, then the error if any."""
+    log = []
+    try:
+        emit(src, diagnostics=log, **kw)
+    except UserAbort:
+        pass  # the directive logged its own message
+    except TranslationError as exc:
+        log.append(str(exc))
+    return log
 
 
 # -- data emission ---------------------------------------------------------
@@ -184,6 +196,60 @@ def test_backward_reference_in_data():
     assert hexdata("head db 1\ndd head\n") == "0100000000"
 
 
+def test_random_layouts_match_oracle():
+    rng = random.Random(7019)
+    outcomes = {"ok": 0, "fault": 0}
+    for _ in range(300):
+        labels = ["L%d" % k for k in range(rng.randrange(1, 6))]
+        pending = list(labels)
+        variables = []
+
+        def value():
+            names = labels + variables
+            if rng.random() < 0.3:
+                return str(rng.randrange(0, 300))
+            op = rng.choice(["+", "-", "*", "+", "-", "/"])
+            return "%s %s %s" % (
+                rng.choice(names),
+                op,
+                rng.choice(names + [str(rng.randrange(1, 9))]),
+            )
+
+        lines = []
+        for _ in range(rng.randrange(1, 16)):
+            roll = rng.random()
+            if roll < 0.2 and pending:
+                lines.append("%s :" % pending.pop(0))
+            elif roll < 0.55:
+                keyword = rng.choice(["db", "dw", "dd"])
+                count = rng.randrange(1, 4)
+                lines.append(
+                    "%s %s" % (keyword, ", ".join(value() for _ in range(count)))
+                )
+            elif roll < 0.75:
+                lines.append("rb %d, %s" % (rng.randrange(0, 4), value()))
+            elif variables and rng.random() < 0.6:
+                v = rng.choice(variables)
+                lines.append("%s = %s + %d" % (v, v, rng.randrange(-5, 300)))
+            else:
+                variables.append("v%d" % len(variables))
+                lines.append("%s = %d" % (variables[-1], rng.randrange(0, 99)))
+        lines += ["%s :" % name for name in pending]
+        try:
+            want = oracle_layout(lines)
+        except OracleError:
+            want = None
+        try:
+            img = run_dest_phase(tokenize_lines("\n".join(lines), "t.s"), {})
+            got = (bytes(img.data), img.labels)
+        except EvalError:
+            got = None
+        assert got == want, "\n".join(lines)
+        outcomes["ok" if want else "fault"] += 1
+    # forward references must resolve often, and faults must occur too
+    assert outcomes["ok"] > 150 and outcomes["fault"] > 5, outcomes
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(TranslationError, match="duplicate label 'x'"):
         emit("x :\ndb 1\nx :\n")
@@ -260,6 +326,31 @@ def test_error_aborts_with_location():
     with pytest.raises(UserAbort, match="boom"):
         emit('db 1\n@error "boom"\n', diagnostics=diags)
     assert diags == ["t.s:2: boom"]
+
+
+def test_print_before_a_run_error_is_kept():
+    assert printed("@print 1\n@break\n") == [
+        "1",
+        "t.s:2:1: break outside of a loop",
+    ]
+
+
+def test_value_fault_cuts_the_log_at_its_line():
+    assert printed("@print 1\ndb 1/0\n@print 2\n") == [
+        "1",
+        "t.s:2:5: division by zero",
+    ]
+
+
+def test_run_error_wins_over_earlier_value_fault():
+    assert printed("db 1/0\n@break\n") == ["t.s:2:1: break outside of a loop"]
+
+
+def test_value_fault_wins_over_later_error_directive():
+    # only labels defined before '@error' exist when the fixups run
+    assert printed('db later\n@error "x"\nlater :\n') == [
+        "t.s:1:4: undefined name 'later'"
+    ]
 
 
 def test_error_in_dead_branch_is_silent():
@@ -413,6 +504,15 @@ def test_strict_rejects_oversized_values(src):
 def test_strict_applies_to_reserve_fill():
     with pytest.raises(EmitError, match="does not fit"):
         emit("rb 1, 300\n", strict=True)
+
+
+def test_strict_checks_final_values_not_placeholders():
+    assert hexdata("db later - 200\nrb 250\nlater :\n", strict=True)[:2] == "33"
+    src = "rb 2, later - 300\nrb 296\nlater :\n"
+    assert hexdata(src, strict=True)[:4] == "fefe"
+    with pytest.raises(EmitError) as exc:
+        emit("db later\nrb 300\nlater :\n", strict=True)
+    assert str(exc.value) == "t.s:1:1: value 301 does not fit in 1 byte(s)"
 
 
 # -- bookkeeping -----------------------------------------------------------

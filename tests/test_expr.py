@@ -11,6 +11,7 @@ from gtrans.expr import (
     SymbolTable,
     eval_values,
     evaluate,
+    split_values,
     truthy,
     wrap64,
 )
@@ -116,15 +117,6 @@ def test_parse_faults():
             ev(bad)
 
 
-def test_tolerant_mode():
-    toks = tokenize("missing + 8 / 0")
-    assert evaluate(toks, tolerant=True) == 0
-    assert evaluate(tokenize("missing * 4 + 2"), tolerant=True) == 2
-    # parse faults are never tolerated
-    with pytest.raises(EvalError):
-        evaluate(tokenize("1 +"), tolerant=True)
-
-
 def test_symbol_table_scoping():
     table = SymbolTable({"x": 1})
     assert table.get("x") == 1
@@ -137,7 +129,10 @@ def test_symbol_table_scoping():
 
 def test_eval_values_greedy():
     def vals(text):
-        return eval_values(tokenize(text), placeholders=True)
+        return [
+            None if part is None else evaluate(part)
+            for part in split_values(tokenize(text))
+        ]
 
     assert vals("1, 2 3") == [1, 2, 3]
     assert vals("5 - 3, 2") == [2, 2]
@@ -148,7 +143,22 @@ def test_eval_values_greedy():
     with pytest.raises(EvalError):
         vals("1,")
     with pytest.raises(EvalError):
-        eval_values(tokenize("?"), placeholders=False)
+        eval_values(tokenize("?"))
+    assert eval_values(tokenize("5 - 3, 2 'A'")) == [2, 2, 65]
+
+
+def test_split_values_parses_without_evaluating():
+    parts = list(split_values(tokenize("missing / 0, ( 1 ) 2")))
+    assert [[t.text for t in p] for p in parts] == [
+        ["missing", "/", "0"],
+        ["(", "1", ")"],
+        ["2"],
+    ]
+    # a parse fault raises only when iteration reaches it
+    parts = split_values(tokenize("1 , 2 +"))
+    assert [t.text for t in next(parts)] == ["1"]
+    with pytest.raises(EvalError, match="expected a value"):
+        next(parts)
 
 
 def test_matches_oracle_on_random_expressions():

@@ -10,6 +10,7 @@ from gtrans.lexer import (
     Token,
     TokenKind,
     classify,
+    dotted_name_end,
     render,
     tokenize,
     tokenize_lines,
@@ -147,6 +148,13 @@ def test_error_column_points_at_fault():
 )
 def test_classify(line, kind):
     assert classify(tokenize(line)) is kind
+
+
+def test_dotted_name_end():
+    toks = tokenize("x = io.port.a + b . 1")
+    assert dotted_name_end(toks) == 1
+    assert dotted_name_end(toks, 2) == 7  # io . port . a
+    assert dotted_name_end(toks, 8) == 9  # '.' not followed by a name
 
 
 def test_tokenize_lines_numbering():
