@@ -19,7 +19,7 @@ from .classes import ClassTable
 from .dest_phase import EmitImage, run_dest_phase
 from .engine import Limits
 from .errors import InternalError, TranslationError, UsageError, UserAbort
-from .expr import SymbolTable, Value
+from .expr import Value
 from .lexer import tokenize_lines
 from .source_phase import run_source_phase
 
@@ -124,9 +124,8 @@ def translate(config: TranslatorConfig) -> RunReport:
             lines.extend(tokenize_lines(_read(path), path))
         name = "<stdin>" if config.source == "-" else config.source
         lines.extend(tokenize_lines(_read(config.source), name))
-        env = SymbolTable(dict(config.defines))
         stream = run_source_phase(
-            lines, env, ClassTable(), diags, config.limits
+            lines, dict(config.defines), ClassTable(), diags, config.limits
         )
         image = run_dest_phase(
             stream,

@@ -20,6 +20,9 @@ a region stays only while its name is referenced from somewhere outside
 every region of that name.  Starting from all regions included, regions
 whose names lose their references are dropped until nothing changes,
 which removes procedures that are only used by other removed procedures.
+A dropped region leaves no line behind.  An included region is just its
+body: its '@if [name]' and '@endif' lines are left out too, so the run
+never sees a guard.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     TranslationError,
     UserAbort,
 )
-from .expr import SymbolTable, Value, eval_values, evaluate, split_values, truthy
+from .expr import Value, evaluate, split_values
 from .lexer import DATA_KEYWORDS, Line, LineKind, Token, TokenKind, dotted_name_end
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
@@ -104,11 +107,10 @@ def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
 
     Returns (visible line indices, included guard names).  Starts with
     every region included and repeatedly drops regions whose names are
-    no longer referenced outside same-named regions, until stable.
+    no longer referenced outside same-named regions, until stable.  The
+    guard lines of an included region are not visible: only its body is.
     """
-    blocks_by_open, _ = build_structure(
-        lines, LineKind.DEST_DIRECTIVE, track_braces=False
-    )
+    blocks_by_open, _ = build_structure(lines, LineKind.DEST_DIRECTIVE)
     regions = _collect_guards(lines, blocks_by_open)
     cover: list[set[str]] = [set() for _ in lines]
     for name, lo, hi in regions:
@@ -133,13 +135,18 @@ def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
         included = refs
     else:
         raise InternalError("guard resolution did not converge")
-    visible = [k for k in range(len(lines)) if not (cover[k] - included)]
+    hidden = {k for _, lo, hi in regions for k in (lo, hi)}
+    visible = [
+        k
+        for k in range(len(lines))
+        if not (cover[k] - included) and k not in hidden
+    ]
     return visible, included
 
 
 class _DestHandler:
     def __init__(self, env, image, diagnostics, limits):
-        self.env: SymbolTable = env
+        self.env: dict[str, Value] = env
         self.image: EmitImage = image
         self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
@@ -153,26 +160,6 @@ class _DestHandler:
     def lookup(self, name: str) -> Optional[Value]:
         value = self.env.get(name)
         return self.labels.get(name) if value is None else value
-
-    def condition(self, args, pos: Position, keyword: str) -> bool:
-        if _guard_name(args) is not None:
-            # a guard line that survived elimination is included
-            return True
-        if not args:
-            raise EvalError("missing condition", pos)
-        return truthy(evaluate(args, self.lookup))
-
-    def count(self, args, pos: Position, what: str) -> int:
-        value = evaluate(args, self.lookup)
-        if not isinstance(value, int):
-            raise EvalError(f"{what} must be an integer", pos)
-        return value
-
-    def values(self, args, pos: Position) -> list[Value]:
-        return eval_values(args, self.lookup)
-
-    def report(self, message: str) -> None:
-        self.diagnostics.append(message)
 
     def unknown(self, line: Line, engine) -> Optional[int]:
         raise StructureError(
@@ -202,7 +189,7 @@ class _DestHandler:
     def _assignment(self, line: Line) -> None:
         tokens = line.tokens
         eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
-        self.env.assign(_name(tokens[:eq]), evaluate(tokens[eq + 1 :], self.lookup))
+        self.env[_name(tokens[:eq])] = evaluate(tokens[eq + 1 :], self.lookup)
 
     def _define_label(self, name: str, pos: Position) -> None:
         if name in self.labels:
@@ -381,15 +368,15 @@ def run_dest_phase(
     diagnostics: Optional[list] = None,
     limits: Optional[Limits] = None,
 ) -> EmitImage:
-    lines = list(stream.lines if hasattr(stream, "lines") else stream)
+    lines = list(stream)
     diagnostics = diagnostics if diagnostics is not None else []
     limits = limits or Limits()
     visible_idx, _ = resolve_guarded_regions(lines)
     image = EmitImage(endian=endian, strict=strict)
-    handler = _DestHandler(
-        SymbolTable(dict(defines or {})), image, diagnostics, limits
+    handler = _DestHandler(dict(defines or {}), image, diagnostics, limits)
+    engine = ControlEngine(
+        LineKind.DEST_DIRECTIVE, handler, handler.lookup, diagnostics, limits
     )
-    engine = ControlEngine("@", handler, limits, track_braces=False)
     try:
         engine.run([lines[k] for k in visible_idx])
     except UserAbort:

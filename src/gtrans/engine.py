@@ -2,9 +2,11 @@
 
 One interpreter executes the structural directives (if/elif/else/endif,
 while/endw, repeat/until, break) plus print and error, whatever the
-prefix character.  Everything phase specific (what a content line means,
-how conditions look things up, what an unknown directive does) comes in
-through a handler object.  The source phase runs this engine over '#'
+prefix character.  It evaluates their conditions, counts and values
+itself, through the lookup the phase hands it, and appends print and
+error reports to the phase's diagnostics list.  A phase supplies only
+what is its own, through a handler: what a content line means and what
+an unknown directive does.  The source phase runs this engine over '#'
 lines, the destination phase over '@' lines; a class expansion is pushed
 as a nested program on an explicit stack, so expansion depth never
 touches the Python recursion limit and a break cannot cross an
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
 from .errors import (
+    EvalError,
     InternalError,
     LimitError,
     NO_POS,
@@ -28,8 +31,8 @@ from .errors import (
     StructureError,
     UserAbort,
 )
-from .expr import Value
-from .lexer import Line, LineKind, Token
+from .expr import Lookup, eval_values, evaluate, truthy
+from .lexer import Line, LineKind
 
 
 @dataclass
@@ -63,17 +66,6 @@ class PhaseHandler(Protocol):
     def unknown(self, line: Line, engine: "ControlEngine") -> Optional[int]:
         """Handle a directive key the engine does not know."""
 
-    def condition(
-        self, args: Sequence[Token], pos: Position, keyword: str
-    ) -> bool:
-        """Decide a condition; keyword is the directive base name."""
-
-    def count(self, args: Sequence[Token], pos: Position, what: str) -> int: ...
-
-    def values(self, args: Sequence[Token], pos: Position) -> list[Value]: ...
-
-    def report(self, message: str) -> None: ...
-
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
 
@@ -88,21 +80,22 @@ def _brace_delta(tokens) -> int:
     return delta
 
 
-def build_structure(lines, directive_kind: LineKind, track_braces: bool):
+def build_structure(lines, directive_kind: LineKind):
     """Match every structural directive with its closing line.
 
     Returns (blocks_by_open, owner) where owner maps each elif, else and
-    closing line back to its block.  Class bodies are opaque when brace
-    tracking is on: a '#while' stored inside a body is matched when the
-    expansion runs, not here.
+    closing line back to its block.  For '#' lines class bodies are
+    opaque: a '#while' stored inside a body is matched when the
+    expansion runs, not here.  The '@' phase sees no class definitions.
     """
+    skip_bodies = directive_kind is LineKind.SOURCE_DIRECTIVE
     blocks_by_open: dict[int, Block] = {}
     owner: dict[int, Block] = {}
     stack: list[Block] = []
     depth = 0
     open_brace_pos = NO_POS
     for idx, line in enumerate(lines):
-        if track_braces:
+        if skip_bodies:
             if depth > 0:
                 depth += _brace_delta(line.tokens)
                 if depth < 0:
@@ -172,18 +165,17 @@ class ControlEngine:
 
     def __init__(
         self,
-        prefix: str,
+        directive_kind: LineKind,
         handler: PhaseHandler,
+        lookup: Lookup,
+        diagnostics: list[str],
         limits: Limits,
-        track_braces: bool,
     ) -> None:
-        self.prefix = prefix
-        self.directive_kind = (
-            LineKind.SOURCE_DIRECTIVE if prefix == "#" else LineKind.DEST_DIRECTIVE
-        )
+        self.directive_kind = directive_kind
         self.handler = handler
+        self.lookup = lookup
+        self.diagnostics = diagnostics
         self.limits = limits
-        self.track_braces = track_braces
         self.stack: list[_Program] = []
 
     # -- program stack --
@@ -193,9 +185,7 @@ class ControlEngine:
             raise LimitError(
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )
-        blocks, owner = build_structure(
-            lines, self.directive_kind, self.track_braces
-        )
+        blocks, owner = build_structure(lines, self.directive_kind)
         self.stack.append(_Program(list(lines), blocks, owner))
 
     def run(self, lines: Sequence[Line]) -> None:
@@ -242,31 +232,42 @@ class ControlEngine:
         elif base == "break":
             self._break(prog, args, pos)
         elif base == "print":
-            self.handler.report(self._format(args, pos))
+            self.diagnostics.append(self._format(args))
             prog.pc += 1
         elif base == "error":
-            message = self._format(args, pos)
-            self.handler.report(f"{pos.file}:{pos.line}: {message}")
+            message = self._format(args)
+            self.diagnostics.append(f"{pos.file}:{pos.line}: {message}")
             raise UserAbort(message, pos)
         else:
             nxt = self.handler.unknown(line, self)
             prog.pc = prog.pc + 1 if nxt is None else nxt
 
-    def _format(self, args, pos: Position) -> str:
-        values = self.handler.values(args, pos)
+    def _condition(self, args, pos: Position) -> bool:
+        if not args:
+            raise EvalError("missing condition", pos)
+        return truthy(evaluate(args, self.lookup))
+
+    def _count(self, args, pos: Position, what: str) -> int:
+        value = evaluate(args, self.lookup)
+        if not isinstance(value, int):
+            raise EvalError(f"{what} must be an integer", pos)
+        return value
+
+    def _format(self, args) -> str:
+        values = eval_values(args, self.lookup)
         return " ".join(
             v if isinstance(v, str) else str(v) for v in values
         )
 
     def _enter_conditional(self, prog: _Program, args, pos: Position) -> None:
         block = prog.blocks[prog.pc]
-        if self.handler.condition(args, pos, "if"):
+        if self._condition(args, pos):
             prog.pc += 1
             return
         for arm_idx in block.arms:
             arm = prog.lines[arm_idx]
             arm_args = list(arm.tokens[1:])
-            if self.handler.condition(arm_args, arm.tokens[0].pos, "elif"):
+            if self._condition(arm_args, arm.tokens[0].pos):
                 prog.pc = arm_idx + 1
                 return
         if block.else_idx is not None:
@@ -282,7 +283,7 @@ class ControlEngine:
         else:
             frame = Frame(block, 0)
             prog.frames.append(frame)
-        if self.handler.condition(args, pos, "while"):
+        if self._condition(args, pos):
             frame.iterations += 1
             if frame.iterations > self.limits.max_loop:
                 raise LimitError(
@@ -298,7 +299,7 @@ class ControlEngine:
         block = prog.blocks[prog.pc]
         times: Optional[int] = None
         if args:
-            times = self.handler.count(args, pos, "repeat count")
+            times = self._count(args, pos, "repeat count")
         until_args = prog.lines[block.close_idx].tokens[1:]
         if times is None and not until_args:
             raise StructureError(
@@ -312,7 +313,7 @@ class ControlEngine:
         if not prog.frames or prog.frames[-1].block is not block:
             raise InternalError("loop frame mismatch at until")
         frame = prog.frames[-1]
-        done = bool(args) and self.handler.condition(args, pos, "until")
+        done = bool(args) and self._condition(args, pos)
         if not done and frame.times is not None:
             done = frame.iterations >= frame.times
         if done:
@@ -329,7 +330,7 @@ class ControlEngine:
     def _break(self, prog: _Program, args, pos: Position) -> None:
         level = 1
         if args:
-            level = self.handler.count(args, pos, "break level")
+            level = self._count(args, pos, "break level")
         if not prog.frames:
             raise StructureError("break outside of a loop", pos)
         if level < 0:

@@ -46,11 +46,11 @@ class EvalError(TranslationError):
 
 
 class UnresolvedNameError(EvalError):
-    """A name had no value at evaluation time.
+    """A name had no value at evaluation time; `name` holds it.
 
-    Kept separate from plain EvalError so the destination phase can treat
-    an unknown name in a data value as a forward label reference while
-    still rejecting it anywhere else.
+    The destination phase does not treat it apart from other EvalErrors:
+    any of them in a data value or reserve fill defers that value to the
+    end of the run, and anywhere else it is the translation's error.
     """
 
     def __init__(self, name: str, pos: Position = NO_POS) -> None:

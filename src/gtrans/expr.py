@@ -68,21 +68,6 @@ def truthy(v: Value) -> bool:
     return v != 0
 
 
-class SymbolTable:
-    """Name to value bindings."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, initial: dict | None = None):
-        self.bindings: dict[str, Value] = dict(initial) if initial else {}
-
-    def get(self, name: str) -> Value | None:
-        return self.bindings.get(name)
-
-    def assign(self, name: str, value: Value) -> None:
-        self.bindings[name] = value
-
-
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return q if (a < 0) == (b < 0) else -q
@@ -203,7 +188,7 @@ class _Evaluator:
             if value is None:
                 raise UnresolvedNameError(name, tok.pos)
             return value
-        self.fail(f"unexpected '{tok.text}'")
+        raise EvalError(f"unexpected '{tok.text}'", tok.pos)
 
     def binary(self, tok: Token, a: Value, b: Value) -> Value:
         op = tok.text
@@ -312,7 +297,6 @@ __all__ = [
     "Lookup",
     "MAX_NESTING",
     "PRECEDENCE",
-    "SymbolTable",
     "Value",
     "eval_values",
     "evaluate",

@@ -2,9 +2,10 @@
 
 Consumes source lines, executes '#' control flow, registers and expands
 classes, applies symbol substitutions, and collects everything that
-survives into the intermediate stream.  '@' lines, labels and anything
-it cannot interpret pass through untouched; that keeps the stream a
-faithful copy of the input when no source-level features are used.
+survives into the intermediate stream, a plain list of lines.  '@'
+lines, labels and anything it cannot interpret pass through untouched;
+that keeps the stream a faithful copy of the input when no source-level
+features are used.
 
 Assignment lines pass through for the second phase to execute, but they
 are also bound here on a best-effort basis so '#' conditions can see
@@ -14,53 +15,23 @@ simply left unbound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .classes import ClassTable, expand_body, expand_calls
 from .engine import ControlEngine, Limits
 from .errors import EvalError, Position, StructureError
-from .expr import SymbolTable, Value, eval_values, evaluate, truthy
+from .expr import Value, evaluate
 from .lexer import Line, LineKind, Token, TokenKind, make_line
 
 
-@dataclass
-class IntermediateStream:
-    lines: list[Line] = field(default_factory=list)
-
-    def render(self) -> str:
-        return "\n".join(line.render() for line in self.lines)
-
-
 class _SourceHandler:
-    def __init__(self, env, table, out, diagnostics, limits):
-        self.env: SymbolTable = env
+    def __init__(self, env, table, out, limits):
+        self.env: dict[str, Value] = env
         self.table: ClassTable = table
         self.out: list[Line] = out
-        self.diagnostics: list[str] = diagnostics
         self.limits: Limits = limits
 
     # -- engine callbacks --
-
-    def lookup(self, name: str) -> Optional[Value]:
-        return self.env.get(name)
-
-    def condition(self, args, pos: Position, keyword: str) -> bool:
-        if not args:
-            raise EvalError("missing condition", pos)
-        return truthy(evaluate(args, self.lookup))
-
-    def count(self, args, pos: Position, what: str) -> int:
-        value = evaluate(args, self.lookup)
-        if not isinstance(value, int):
-            raise EvalError(f"{what} must be an integer", pos)
-        return value
-
-    def values(self, args, pos: Position) -> list[Value]:
-        return eval_values(args, self.lookup)
-
-    def report(self, message: str) -> None:
-        self.diagnostics.append(message)
 
     def unknown(self, line: Line, engine: ControlEngine) -> Optional[int]:
         # an unrecognized '#' key may name a class used command-style
@@ -166,11 +137,11 @@ class _SourceHandler:
             t.text for t in tokens[:eq] if t.kind is TokenKind.IDENTIFIER
         )
         try:
-            value = evaluate(tokens[eq + 1 :], self.lookup)
+            value = evaluate(tokens[eq + 1 :], self.env.get)
         except EvalError:
             pass  # not computable yet; the second phase will evaluate it
         else:
-            self.env.assign(name, value)
+            self.env[name] = value
         self.out.append(line)
         return None
 
@@ -268,16 +239,20 @@ class _SourceHandler:
 
 def run_source_phase(
     lines,
-    env: SymbolTable,
+    env: dict[str, Value],
     table: ClassTable,
     diagnostics: list[str],
     limits: Limits,
-) -> IntermediateStream:
+) -> list[Line]:
+    """Run the '#' phase; returns the intermediate stream.  Assignments
+    it can evaluate are bound in env, which the caller owns."""
     out: list[Line] = []
-    handler = _SourceHandler(env, table, out, diagnostics, limits)
-    engine = ControlEngine("#", handler, limits, track_braces=True)
+    handler = _SourceHandler(env, table, out, limits)
+    engine = ControlEngine(
+        LineKind.SOURCE_DIRECTIVE, handler, env.get, diagnostics, limits
+    )
     engine.run(list(lines))
-    return IntermediateStream(out)
+    return out
 
 
-__all__ = ["IntermediateStream", "run_source_phase"]
+__all__ = ["run_source_phase"]

@@ -14,7 +14,7 @@ from gtrans.cli import TranslatorConfig, translate
 from gtrans.dest_phase import resolve_guarded_regions, run_dest_phase
 from gtrans.engine import Limits
 from gtrans.errors import StructureError
-from gtrans.expr import SymbolTable, evaluate
+from gtrans.expr import evaluate
 from gtrans.lexer import tokenize, tokenize_lines
 from gtrans.source_phase import run_source_phase
 
@@ -50,7 +50,7 @@ def phase1(source, env=None):
     diags = []
     stream = run_source_phase(
         tokenize_lines(source, "t.s"),
-        env if env is not None else SymbolTable(),
+        env if env is not None else {},
         ClassTable(),
         diags,
         Limits(),
@@ -183,7 +183,7 @@ def test_c07_associativity_encodings(tmp_path):
         "class G x - y - z { db ( x - ( y - z ) ) }\n"
     )
     stream, _ = phase1(rules + "F a - b - c\nG a - b - c\n")
-    assert stream.render() == (
+    assert "\n".join(line.render() for line in stream) == (
         "db ( ( a - b ) - c )\ndb ( a - ( b - c ) )"
     )
     _, data = build(
@@ -252,7 +252,7 @@ def test_c09_directive_engines_agree():
         with pytest.raises(StructureError) as first:
             run_source_phase(
                 tokenize_lines(src, "t.s"),
-                SymbolTable(),
+                {},
                 ClassTable(),
                 first_log,
                 Limits(),
@@ -344,7 +344,7 @@ def test_c13_break_levels():
         "n = n + 100\n"
         "#endw\n"
     )
-    env = SymbolTable()
+    env = {}
     phase1(source, env)
     assert env.get("a") == 6  # level 1 left the loop at the mark
     assert env.get("b") == 3  # level 0 skipped the odd passes

@@ -1,11 +1,14 @@
 """Driver tests: argument parsing, file plumbing, formats, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gtrans
 from gtrans.cli import (
     RunReport,
     TranslatorConfig,
@@ -265,14 +268,21 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_entry_point_process(tmp_path):
-    # end to end through a real process, stdin to stdout
+    # end to end through a real process, stdin to stdout; the child
+    # imports the same gtrans as this test, installed or not
+    env = dict(os.environ)
+    src = str(Path(gtrans.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "gtrans.cli", "--in", "-", "--format", "hex"],
         input="db 0x90\n",
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("00000000: 90")
 
     proc = subprocess.run(
@@ -280,6 +290,7 @@ def test_entry_point_process(tmp_path):
         input='#error "boom"\n',
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
     assert "boom" in proc.stderr

@@ -114,6 +114,12 @@ def test_data_line_needs_values():
         emit("db\n")
 
 
+def test_stray_token_is_reported_at_its_column():
+    # the error names the stray token itself, not the token after it
+    assert printed("db 1 + ) 2\n") == ["t.s:1:8: unexpected ')'"]
+    assert printed("@if 1 + ) 2\n@endif\n") == ["t.s:1:9: unexpected ')'"]
+
+
 # -- reserve ---------------------------------------------------------------
 
 
@@ -416,6 +422,33 @@ def test_self_reference_does_not_keep_a_region():
 def test_guard_condition_is_not_evaluated():
     # the bracketed name never hits the expression evaluator
     assert hexdata("@if [whatever]\nwhatever : db 1\n@endif\ndb 2\n") == "02"
+
+
+def test_included_region_is_just_its_body():
+    src = (
+        "@if [A]\nA : db 1\n"          # 0, 1
+        "@if [B]\nB : db 2\n@endif\n"  # 2, 3, 4
+        "dw B\n@endif\n"               # 5, 6
+        "@if [C]\nC : db 3\n@endif\n"  # 7, 8, 9
+        "dw A"                         # 10
+    )
+    visible, included = resolve_guarded_regions(tokenize_lines(src, "t.s"))
+    assert visible == [1, 3, 5, 10]
+    assert included == {"A", "B"}
+
+
+def test_included_region_in_a_loop_runs_as_its_body():
+    body = 'P = n\n@print "at" n\ndb n\n@if n = 3\n@break\n@endif\n'
+
+    def run(region):
+        src = "n = 0\n@while n < 5\nn = n + 1\n" + region + "@endw\ndw P\n"
+        log = []
+        img = emit(src, diagnostics=log)
+        return img.data, log, [(s.start, s.line.render()) for s in img.spans]
+
+    guarded = run("@if [P]\n" + body + "@endif\n")
+    assert guarded == run(body)
+    assert guarded[:2] == (bytes([1, 2, 3, 3, 0]), ["at 1", "at 2", "at 3"])
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from gtrans.errors import EvalError, UnresolvedNameError
 from gtrans.expr import (
     INT64_MAX,
     INT64_MIN,
-    SymbolTable,
     eval_values,
     evaluate,
     split_values,
@@ -115,16 +114,6 @@ def test_parse_faults():
     for bad in ("1 +", "(1", "1 )", "* 3", "1 2 +", ""):
         with pytest.raises(EvalError):
             ev(bad)
-
-
-def test_symbol_table_scoping():
-    table = SymbolTable({"x": 1})
-    assert table.get("x") == 1
-    table.assign("x", 2)
-    assert table.get("x") == 2
-    assert table.get("y") is None
-    table.assign("y", 7)
-    assert table.get("y") == 7
 
 
 def test_eval_values_greedy():

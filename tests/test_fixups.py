@@ -66,7 +66,7 @@ def test_reserve_count_faults_in_token_order():
     # a value fault ahead of a parse fault in the count is reported first
     assert printed("rb x +\n") == ["t.s:1:4: undefined name 'x'"]
     assert printed("rb 1 / 0, 1 +\n") == ["t.s:1:6: division by zero"]
-    assert printed("rb ? 5\n") == ["t.s:1:6: unexpected '?'"]
+    assert printed("rb ? 5\n") == ["t.s:1:4: unexpected '?'"]
     assert printed("rb 4, 7 )\n") == [
         "t.s:1:1: reserve takes a count and at most one value"
     ]

@@ -12,14 +12,13 @@ from gtrans.errors import (
     StructureError,
     UserAbort,
 )
-from gtrans.expr import SymbolTable
 from gtrans.lexer import tokenize_lines
 from gtrans.source_phase import run_source_phase
 
 
 def run(src, env=None, limits=None):
     """Run the first phase; returns (stream, diagnostics, env, table)."""
-    env = env if env is not None else SymbolTable()
+    env = env if env is not None else {}
     table = ClassTable()
     diags = []
     lines = tokenize_lines(src, "t.s")
@@ -27,9 +26,13 @@ def run(src, env=None, limits=None):
     return stream, diags, env, table
 
 
+def render(stream):
+    return "\n".join(line.render() for line in stream)
+
+
 def rendered(src, **kw):
     stream, _, _, _ = run(src, **kw)
-    return stream.render()
+    return render(stream)
 
 
 # -- conditionals ----------------------------------------------------------
@@ -81,7 +84,7 @@ def test_missing_condition_rejected():
 def test_while_unrolls():
     src = "i = 0\n#while i < 3\ndb i\ni = i + 1\n#endw\n"
     stream, _, env, _ = run(src)
-    assert stream.render().count("db i") == 3
+    assert render(stream).count("db i") == 3
     assert env.get("i") == 3
 
 
@@ -260,7 +263,7 @@ def test_error_aborts_with_location():
     diags = []
     lines = tokenize_lines('db 1\n#error "bad" 7\n', "t.s")
     with pytest.raises(UserAbort, match="bad 7"):
-        run_source_phase(lines, SymbolTable(), ClassTable(), diags, Limits())
+        run_source_phase(lines, {}, ClassTable(), diags, Limits())
     assert diags == ["t.s:2: bad 7"]
 
 
@@ -291,7 +294,7 @@ def test_assignment_without_value_still_passes():
     # right side needs a label: not computable here, bound later
     stream, _, env, _ = run("x = somewhere + 1\n")
     assert env.get("x") is None
-    assert stream.render() == "x = somewhere + 1"
+    assert render(stream) == "x = somewhere + 1"
 
 
 def test_assignment_rebinding():
@@ -418,10 +421,10 @@ def test_conditional_class_selection():
         "#endif\n"
         "put 1\n"
     )
-    stream, _, _, _ = run(src, env=SymbolTable({"wide": 1}))
-    assert stream.render() == "dw 1"
-    stream, _, _, _ = run(src, env=SymbolTable({"wide": 0}))
-    assert stream.render() == "db 1"
+    stream, _, _, _ = run(src, env={"wide": 1})
+    assert render(stream) == "dw 1"
+    stream, _, _, _ = run(src, env={"wide": 0})
+    assert render(stream) == "db 1"
 
 
 def test_command_style_directive_class():
@@ -464,7 +467,7 @@ def test_substitution_inside_assignment_rhs():
     src = "k := 6\nx = k * 7\n"
     stream, _, env, _ = run(src)
     assert env.get("x") == 42
-    assert stream.render() == "x = 6 * 7"
+    assert render(stream) == "x = 6 * 7"
 
 
 def test_substitution_cannot_touch_assignment_target():
@@ -472,7 +475,7 @@ def test_substitution_cannot_touch_assignment_target():
     src = "k := 6\nk = 9\n"
     stream, _, env, _ = run(src)
     assert env.get("k") == 9
-    assert stream.render() == "k = 9"
+    assert render(stream) == "k = 9"
 
 
 def test_substitution_producing_blank_line_vanishes():
