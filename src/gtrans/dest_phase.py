@@ -7,8 +7,8 @@ label's offset and each line's size are known when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
 evaluation fails is written as zero units and recorded as a fixup: where
-its bytes are, its tokens, the values its names had at that moment, and
-the length of the diagnostics log.  When the run ends, normally or at
+its bytes are, its compiled expression, the values its names had at that
+moment, and the length of the diagnostics log.  When the run ends, normally or at
 '@error', the fixups are evaluated in order against those values and the
 labels defined by then, range-checked under strict, and written in place.
 The first that fails is the translation's error, and the log is cut back
@@ -27,7 +27,6 @@ never sees a guard.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,8 +41,8 @@ from .errors import (
     TranslationError,
     UserAbort,
 )
-from .expr import Value, evaluate, split_values
-from .lexer import DATA_KEYWORDS, Line, LineKind, Token, TokenKind, dotted_name_end
+from .expr import Value, compile_expr, evaluate, failing, split_values
+from .lexer import DATA_KEYWORDS, Line, LineKind, TokenKind, dotted_name_end
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
 
@@ -151,10 +150,8 @@ class _DestHandler:
         self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
         self.limits: Limits = limits
-        # (id(line), value index) -> (tokens, names, unit size, line pos)
-        self.deferred: dict[tuple[int, int], tuple] = {}
-        # (start, end, same line run as the previous, deferred entry,
-        #  values of the entry's names then, log length then)
+        # (start, end, same line run as the previous, fixup entry of the
+        #  value, values of the entry's names then, log length then)
         self.fixups: list[tuple] = []
 
     def lookup(self, name: str) -> Optional[Value]:
@@ -167,129 +164,156 @@ class _DestHandler:
         )
 
     def content(self, line: Line, engine) -> Optional[int]:
-        kind = line.kind
-        if kind is LineKind.ASSIGNMENT:
-            self._assignment(line)
-        elif kind is LineKind.LABEL:
-            self._define_label(_name(line.tokens[:-1]), line.pos)
-        elif kind is LineKind.DATA_EMISSION:
-            self._data_line(line, list(line.tokens))
-        elif kind is LineKind.PLAIN:
-            self._labeled_data(line)
-        else:
-            raise StructureError(
-                f"a {kind.value} line has no meaning in the intermediate "
-                "stream",
-                line.pos,
-            )
+        engine.compiled(self._compile)()
         return None
 
-    # -- pieces --
+    # -- compiling a line into a closure that runs it --
 
-    def _assignment(self, line: Line) -> None:
+    def _compile(self, line: Line):
+        kind = line.kind
+        if kind is LineKind.ASSIGNMENT:
+            return self._assignment(line)
+        if kind is LineKind.LABEL:
+            name = _name(line.tokens[:-1])
+            return lambda: self._define_label(name, line.pos)
+        if kind is LineKind.DATA_EMISSION:
+            return self._data_line(line, line.tokens)
+        if kind is LineKind.PLAIN:
+            return self._labeled_data(line)
+        raise StructureError(
+            f"a {kind.value} line has no meaning in the intermediate stream",
+            line.pos,
+        )
+
+    def _assignment(self, line: Line):
         tokens = line.tokens
         eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
-        self.env[_name(tokens[:eq])] = evaluate(tokens[eq + 1 :], self.lookup)
+        name, rhs = _name(tokens[:eq]), compile_expr(tokens[eq + 1 :])
+        env, lookup = self.env, self.lookup
+
+        def assign():
+            env[name] = rhs(lookup)
+
+        return assign
 
     def _define_label(self, name: str, pos: Position) -> None:
         if name in self.labels:
             raise TranslationError(f"duplicate label '{name}'", pos)
         self.labels[name] = len(self.image.data)
 
-    def _labeled_data(self, line: Line) -> None:
-        tokens = list(line.tokens)
+    def _labeled_data(self, line: Line):
+        tokens = line.tokens
         j = dotted_name_end(tokens)
         k = j + 1 if j < len(tokens) and tokens[j].is_punct(":") else j
-        if (
+        if not (
             k < len(tokens)
             and tokens[k].kind is TokenKind.IDENTIFIER
             and tokens[k].text in DATA_KEYWORDS
         ):
-            self._define_label(_name(tokens[:j]), line.pos)
-            self._data_line(line, tokens[k:])
-            return
-        raise TranslationError("unrecognized statement", line.pos)
+            raise TranslationError("unrecognized statement", line.pos)
+        return self._data_line(line, tokens[k:], _name(tokens[:j]))
 
-    def _data_line(self, line: Line, tokens: list[Token]) -> None:
+    def _data_line(self, line: Line, tokens, label: Optional[str] = None):
         keyword = tokens[0].text
         size = _SIZES[keyword[1]]
-        args = tokens[1:]
-        data = self.image.data
-        start = len(data)
-        if keyword[0] == "r":
-            self._reserve(line, args, size)
-        elif not args:
-            raise EmitError(f"'{keyword}' needs at least one value", line.pos)
-        else:
+        build = self._reserve if keyword[0] == "r" else self._values
+        body, image = build(tokens[1:], keyword, size, line.pos), self.image
+
+        def emit():
+            if label is not None:
+                self._define_label(label, line.pos)
+            start = len(image.data)
+            body()
+            if len(image.data) > start:
+                image.spans.append(Span(line, start, len(image.data)))
+
+        return emit
+
+    def _values(self, args, keyword: str, size: int, pos: Position):
+        values, fault = split_values(args)
+        if not args:
+            fault = failing(
+                EmitError, f"'{keyword}' needs at least one value", pos
+            )
+        # fixup entry of each value: (closure, its names, unit size, pos)
+        entries = [(fn, names, size, pos) for fn, _, names in values]
+
+        def emit():
+            if fault is not None:
+                fault(self.lookup)
             # every value is evaluated before any is written
-            parts = list(split_values(args))
-            values = [0 if p is None else self._now(p) for p in parts]
+            got = [0 if e[0] is None else self._now(e[0]) for e in entries]
             joined = False
-            for idx, value in enumerate(values):
+            for entry, value in zip(entries, got):
                 if value is None:
-                    self._defer(line, idx, parts[idx], size, size, joined)
+                    self._defer(entry, size, joined)
                     joined = True
                 elif isinstance(value, str):
-                    self._emit_string(value, keyword, line.pos)
+                    self._emit_string(value, keyword, pos)
                 else:
-                    data += self._unit_bytes(value, size, line.pos)
-        end = len(data)
-        if end > start:
-            self.image.spans.append(Span(line, start, end))
+                    self.image.data += self._unit_bytes(value, size, pos)
 
-    def _reserve(self, line: Line, args, size: int) -> None:
+        return emit
+
+    def _reserve(self, args, keyword: str, size: int, pos: Position):
         """count [,] [value].  The count never looks forward; the value
         may, like any data value."""
-        pos = line.pos
+        values, fault = split_values(args)
+        late = None  # a fault that reading in order meets after the count
+        fill = None  # fixup entry of the fill; None for no fill or '?'
         if not args:
-            raise EmitError("reserve needs a count", pos)
-        parts = split_values(args)
-        try:
-            count_tokens = next(parts)
-        except TranslationError:
-            count_tokens = None
-        if count_tokens is None:
+            count = failing(EmitError, "reserve needs a count", pos)
+        elif values[0][0] is None or (fault is not None and len(values) == 1):
             # a '?' or malformed count: fail where evaluating while parsing
             # does, at the first value fault or parse fault
-            evaluate(args, self.lookup)
-        count = evaluate(count_tokens, self.lookup)
-        if not isinstance(count, int):
-            raise EmitError("reserve count must be an integer", pos)
-        if count < 0:
-            raise EmitError("negative reserve count", pos)
-        if count > self.limits.max_loop:
-            raise LimitError(
-                f"reserve count exceeds {self.limits.max_loop}", pos
-            )
-        rest = args[len(count_tokens) :]
-        if rest and rest[0].is_punct(","):
-            rest = rest[1:]
-            if not rest:
-                raise EvalError("expected a value after ','", pos)
-        fill_tokens = next(parts) if rest else None
-        if len(rest) > (1 if fill_tokens is None else len(fill_tokens)):
-            raise EmitError("reserve takes a count and at most one value", pos)
-        fill = 0 if fill_tokens is None else self._now(fill_tokens)
-        if fill is None:
-            self._defer(line, 1, fill_tokens, size, size * count, False)
-        elif not isinstance(fill, int):
-            raise EmitError("reserve value must be an integer", pos)
+            count = lambda lookup: evaluate(args, lookup)  # noqa: E731
         else:
-            self.image.data += self._unit_bytes(fill, size, pos) * count
+            count, end, _ = values[0]
+            if end == len(args) - 1 and args[end].is_punct(","):
+                late = failing(EvalError, "expected a value after ','", pos)
+            elif len(values) > 1:
+                fn, fill_end, names = values[1]
+                if fault is not None and len(values) == 2:
+                    late = fault
+                elif fill_end < len(args):
+                    message = "reserve takes a count and at most one value"
+                    late = failing(EmitError, message, pos)
+                elif fn is not None:
+                    fill = (fn, names, size, pos)
 
-    def _now(self, tokens) -> Optional[Value]:
-        """The value of tokens now, or None when it has to wait."""
+        def reserve():
+            n = count(self.lookup)
+            if not isinstance(n, int):
+                raise EmitError("reserve count must be an integer", pos)
+            if n < 0:
+                raise EmitError("negative reserve count", pos)
+            if n > self.limits.max_loop:
+                raise LimitError(
+                    f"reserve count exceeds {self.limits.max_loop}", pos
+                )
+            if late is not None:
+                late(self.lookup)
+            value = 0 if fill is None else self._now(fill[0])
+            if value is None:
+                self._defer(fill, size * n, False)
+            elif not isinstance(value, int):
+                raise EmitError("reserve value must be an integer", pos)
+            else:
+                self.image.data += self._unit_bytes(value, size, pos) * n
+
+        return reserve
+
+    # -- running values --
+
+    def _now(self, fn) -> Optional[Value]:
+        """The value of fn now, or None when it has to wait."""
         try:
-            return evaluate(tokens, self.lookup)
+            return fn(self.lookup)
         except EvalError:
             return None
 
-    def _defer(self, line, idx, tokens, size, nbytes, joined) -> None:
+    def _defer(self, entry, nbytes: int, joined: bool) -> None:
         """Write nbytes of zeros and record a fixup for them."""
-        key = (id(line), idx)
-        entry = self.deferred.get(key)
-        if entry is None:
-            entry = self.deferred[key] = (tokens, _names(tokens), size, line.pos)
         start = len(self.image.data)
         saved = tuple(map(self.env.get, entry[1]))
         self.fixups.append(
@@ -304,14 +328,20 @@ class _DestHandler:
         range-checked, as when the line's values are written directly.
         """
         labels, data = self.labels, self.image.data
+        seen: dict[str, Value] = {}
+
+        def lookup(name: str) -> Optional[Value]:
+            value = seen.get(name)
+            return labels.get(name) if value is None else value
+
         unfit = None  # (error, log length) of the current line run
         for start, end, joined, entry, saved, mark in self.fixups:
             if unfit is not None and not joined:
                 break
-            tokens, names, size, pos = entry
+            fn, names, size, pos = entry
             seen = {n: v for n, v in zip(names, saved) if v is not None}
             try:
-                value = evaluate(tokens, ChainMap(seen, labels).get)
+                value = fn(lookup)
             except EvalError:
                 del self.diagnostics[mark:]
                 raise
@@ -343,20 +373,6 @@ class _DestHandler:
 def _name(tokens) -> str:
     """The dotted name spelled by the identifiers among tokens."""
     return ".".join(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
-
-
-def _names(tokens) -> tuple[str, ...]:
-    """Every name a value mentions, live or in a skipped branch."""
-    names = {}
-    i = 0
-    while i < len(tokens):
-        if tokens[i].kind is TokenKind.IDENTIFIER:
-            j = dotted_name_end(tokens, i)
-            names[_name(tokens[i:j])] = None
-            i = j
-        else:
-            i += 1
-    return tuple(names)
 
 
 def run_dest_phase(

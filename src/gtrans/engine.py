@@ -15,6 +15,13 @@ expansion boundary.
 Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
 '#endif' fails fast even when execution would never reach it.
+
+A line is compiled when it runs: a directive to its key and its compiled
+condition, count or values, a content line to whatever the phase builds
+for it (ControlEngine.compiled).  Only lines inside a while or repeat
+block, whose ranges build_structure gives, keep their compiled form, in
+a per-program cache by pc; any other line is compiled each time it runs
+and then dropped, since most lines run once.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import (
     StructureError,
     UserAbort,
 )
-from .expr import Lookup, eval_values, evaluate, truthy
+from .expr import Lookup, compile_expr, compile_values, failing, truthy
 from .lexer import Line, LineKind
 
 
@@ -156,6 +163,9 @@ class _Program:
     lines: list[Line]
     blocks: dict[int, Block]
     owner: dict[int, Block]
+    # compiled ops of the lines inside while and repeat blocks, by pc;
+    # None until the line first runs
+    ops: dict[int, object]
     pc: int = 0
     frames: list[Frame] = field(default_factory=list)
 
@@ -186,7 +196,12 @@ class ControlEngine:
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )
         blocks, owner = build_structure(lines, self.directive_kind)
-        self.stack.append(_Program(list(lines), blocks, owner))
+        ops: dict[int, object] = {}
+        for block in blocks.values():
+            if block.kind != "if":
+                loop = range(block.open_idx, block.close_idx + 1)
+                ops.update(dict.fromkeys(loop))
+        self.stack.append(_Program(list(lines), blocks, owner, ops))
 
     def run(self, lines: Sequence[Line]) -> None:
         self.stack = []
@@ -200,74 +215,91 @@ class ControlEngine:
                 continue
             line = prog.lines[prog.pc]
             if line.kind is self.directive_kind:
-                self._directive(prog, line)
+                self._directive(prog, *self.compiled(self._compile))
             elif line.kind is LineKind.BLANK:
                 prog.pc += 1
             else:
                 nxt = self.handler.content(line, self)
                 prog.pc = prog.pc + 1 if nxt is None else nxt
 
+    def compiled(self, build, pc: Optional[int] = None):
+        """The compiled form of line pc of the running program, by default
+        the running line, as build(line) makes it.
+
+        A line inside a while or repeat block is built once and kept with
+        its program; any other line is built each time it is asked for.
+        """
+        prog = self.stack[-1]
+        pc = prog.pc if pc is None else pc
+        op = prog.ops.get(pc)
+        if op is None:
+            op = build(prog.lines[pc])
+            if pc in prog.ops:
+                prog.ops[pc] = op
+        return op
+
     # -- directive semantics --
 
-    def _directive(self, prog: _Program, line: Line) -> None:
-        name = line.tokens[0].text
-        base = name[1:]
-        args = list(line.tokens[1:])
-        pos = line.tokens[0].pos
+    def _compile(self, line: Line) -> tuple:
+        """(key without its prefix, compiled argument or None, position)."""
+        key, args = line.tokens[0], line.tokens[1:]
+        base, pos = key.text[1:], key.pos
+        if base in ("print", "error"):
+            return base, compile_values(args), pos
+        if base in ("if", "elif", "while") and not args:
+            return base, failing(EvalError, "missing condition", pos), pos
+        if args and base in ("if", "elif", "while", "until", "repeat", "break"):
+            return base, compile_expr(args), pos
+        return base, None, pos
+
+    def _directive(self, prog: _Program, base: str, arg, pos: Position) -> None:
         if base == "if":
-            self._enter_conditional(prog, args, pos)
+            self._enter_conditional(prog, arg)
         elif base in ("elif", "else"):
             # reached by falling out of the arm that ran
             prog.pc = prog.owner[prog.pc].close_idx + 1
         elif base == "endif":
             prog.pc += 1
         elif base == "while":
-            self._while(prog, args, pos)
+            self._while(prog, arg, pos)
         elif base == "endw":
             prog.pc = prog.owner[prog.pc].open_idx
         elif base == "repeat":
-            self._repeat(prog, args, pos)
+            self._repeat(prog, arg, pos)
         elif base == "until":
-            self._until(prog, args, pos)
+            self._until(prog, arg, pos)
         elif base == "break":
-            self._break(prog, args, pos)
+            self._break(prog, arg, pos)
         elif base == "print":
-            self.diagnostics.append(self._format(args))
+            self.diagnostics.append(self._format(arg))
             prog.pc += 1
         elif base == "error":
-            message = self._format(args)
+            message = self._format(arg)
             self.diagnostics.append(f"{pos.file}:{pos.line}: {message}")
             raise UserAbort(message, pos)
         else:
-            nxt = self.handler.unknown(line, self)
+            nxt = self.handler.unknown(prog.lines[prog.pc], self)
             prog.pc = prog.pc + 1 if nxt is None else nxt
 
-    def _condition(self, args, pos: Position) -> bool:
-        if not args:
-            raise EvalError("missing condition", pos)
-        return truthy(evaluate(args, self.lookup))
-
-    def _count(self, args, pos: Position, what: str) -> int:
-        value = evaluate(args, self.lookup)
+    def _count(self, count, pos: Position, what: str) -> int:
+        value = count(self.lookup)
         if not isinstance(value, int):
             raise EvalError(f"{what} must be an integer", pos)
         return value
 
-    def _format(self, args) -> str:
-        values = eval_values(args, self.lookup)
+    def _format(self, values) -> str:
         return " ".join(
-            v if isinstance(v, str) else str(v) for v in values
+            v if isinstance(v, str) else str(v) for v in values(self.lookup)
         )
 
-    def _enter_conditional(self, prog: _Program, args, pos: Position) -> None:
+    def _enter_conditional(self, prog: _Program, cond) -> None:
         block = prog.blocks[prog.pc]
-        if self._condition(args, pos):
+        if truthy(cond(self.lookup)):
             prog.pc += 1
             return
         for arm_idx in block.arms:
-            arm = prog.lines[arm_idx]
-            arm_args = list(arm.tokens[1:])
-            if self._condition(arm_args, arm.tokens[0].pos):
+            _, arm_cond, _ = self.compiled(self._compile, arm_idx)
+            if truthy(arm_cond(self.lookup)):
                 prog.pc = arm_idx + 1
                 return
         if block.else_idx is not None:
@@ -275,7 +307,7 @@ class ControlEngine:
         else:
             prog.pc = block.close_idx + 1
 
-    def _while(self, prog: _Program, args, pos: Position) -> None:
+    def _while(self, prog: _Program, cond, pos: Position) -> None:
         block = prog.blocks[prog.pc]
         top = prog.frames[-1] if prog.frames else None
         if top is not None and top.block is block:
@@ -283,7 +315,7 @@ class ControlEngine:
         else:
             frame = Frame(block, 0)
             prog.frames.append(frame)
-        if self._condition(args, pos):
+        if truthy(cond(self.lookup)):
             frame.iterations += 1
             if frame.iterations > self.limits.max_loop:
                 raise LimitError(
@@ -295,25 +327,29 @@ class ControlEngine:
             prog.frames.pop()
             prog.pc = block.close_idx + 1
 
-    def _repeat(self, prog: _Program, args, pos: Position) -> None:
+    def _repeat(self, prog: _Program, count, pos: Position) -> None:
         block = prog.blocks[prog.pc]
         times: Optional[int] = None
-        if args:
-            times = self._count(args, pos, "repeat count")
-        until_args = prog.lines[block.close_idx].tokens[1:]
-        if times is None and not until_args:
+        if count is not None:
+            times = self._count(count, pos, "repeat count")
+            if times < 0:
+                raise EvalError("negative repeat count", pos)
+            if times == 0:
+                prog.pc = block.close_idx + 1
+                return
+        elif len(prog.lines[block.close_idx].tokens) == 1:
             raise StructureError(
                 "repeat needs a count or a condition on its closing line", pos
             )
         prog.frames.append(Frame(block, 1, times))
         prog.pc += 1
 
-    def _until(self, prog: _Program, args, pos: Position) -> None:
+    def _until(self, prog: _Program, cond, pos: Position) -> None:
         block = prog.owner[prog.pc]
         if not prog.frames or prog.frames[-1].block is not block:
             raise InternalError("loop frame mismatch at until")
         frame = prog.frames[-1]
-        done = bool(args) and self._condition(args, pos)
+        done = cond is not None and truthy(cond(self.lookup))
         if not done and frame.times is not None:
             done = frame.iterations >= frame.times
         if done:
@@ -327,10 +363,10 @@ class ControlEngine:
             )
         prog.pc = block.open_idx + 1
 
-    def _break(self, prog: _Program, args, pos: Position) -> None:
+    def _break(self, prog: _Program, count, pos: Position) -> None:
         level = 1
-        if args:
-            level = self._count(args, pos, "break level")
+        if count is not None:
+            level = self._count(count, pos, "break level")
         if not prog.frames:
             raise StructureError("break outside of a loop", pos)
         if level < 0:

@@ -6,14 +6,22 @@ strings.  The operator set and precedence follow C, with two departures:
 operator) and strings support only '+' on two strings.  Comparisons are
 defined for integers only.
 
-Evaluation is precedence climbing straight over the tokens, no tree.
-A skipped branch of '&&'/'||' is still parsed but produces nothing, so
-its faults stay silent.  split_values parses a value list the same way
-without evaluating it, for callers that evaluate each value on its own.
+An expression is compiled once, by precedence climbing over its tokens,
+into a tree of closures (Feeley and Lapalme, "Using closures for code
+generation", 1987): compile_expr(tokens) returns fn(lookup) -> value,
+and evaluate is compile_expr(tokens)(lookup).  Compiling never raises.
+A parse fault, or nesting past MAX_NESTING, becomes a node that raises
+it, placed where the parser stopped, so running the tree raises the
+faults of what was read before it first, in reading order, exactly as
+evaluating while parsing would.  A skipped side of '&&'/'||' is not
+run, so its value faults stay silent, but a parse fault in it still
+raises.  A run of operators of one precedence compiles to one loop, so
+a long flat expression runs without deep recursion.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional, Union
 
 from .errors import EvalError, LimitError, NO_POS, Position, UnresolvedNameError
@@ -22,6 +30,8 @@ from .lexer import Token, TokenKind, dotted_name_end
 Value = Union[int, str]
 # returns None for names it does not know
 Lookup = Callable[[str], Optional[Value]]
+# a compiled expression
+Expr = Callable[[Lookup], Value]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -51,13 +61,16 @@ _UNARY = ("!", "~", "-")
 
 # Deepest expression nesting accepted.  Each parenthesis, each unary
 # operator and each right operand of a tighter-binding operator opens one
-# level.  A level costs the evaluator at most three Python frames, so 200
-# levels stay well inside the interpreter's default recursion limit.
+# level.  A level costs the compiler at most three Python frames and a
+# compiled tree two when it runs, so 200 levels stay well inside the
+# interpreter's default recursion limit.
 MAX_NESTING = 200
 
 
 def wrap64(v: int) -> int:
     """Reduce to signed 64-bit two's complement."""
+    if INT64_MIN <= v <= INT64_MAX:
+        return v
     return ((v + 2**63) % 2**64) - 2**63
 
 
@@ -73,233 +86,284 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-class _Evaluator:
-    def __init__(self, tokens, lookup: Lookup | None):
-        self.tokens = list(tokens)
-        self.lookup = lookup
+def _raise(exc: Exception):
+    raise exc
+
+
+# operators on two integers: (a, b, position of the operator) -> value;
+# '+' also joins two strings
+_INT_OPS = {
+    "+": lambda a, b, pos: wrap64(a + b),
+    "-": lambda a, b, pos: wrap64(a - b),
+    "*": lambda a, b, pos: wrap64(a * b),
+    "/": lambda a, b, pos: wrap64(_trunc_div(a, b))
+    if b else _raise(EvalError("division by zero", pos)),
+    "%": lambda a, b, pos: wrap64(a - _trunc_div(a, b) * b)
+    if b else _raise(EvalError("modulo by zero", pos)),
+    "<<": lambda a, b, pos: wrap64(a << b)
+    if 0 <= b <= 63 else _raise(EvalError("shift count out of range", pos)),
+    ">>": lambda a, b, pos: a >> b
+    if 0 <= b <= 63 else _raise(EvalError("shift count out of range", pos)),
+    "&": lambda a, b, pos: wrap64(a & b),
+    "^": lambda a, b, pos: wrap64(a ^ b),
+    "|": lambda a, b, pos: wrap64(a | b),
+    "=": lambda a, b, pos: 1 if a == b else 0,
+    "!=": lambda a, b, pos: 1 if a != b else 0,
+    "<": lambda a, b, pos: 1 if a < b else 0,
+    "<=": lambda a, b, pos: 1 if a <= b else 0,
+    ">": lambda a, b, pos: 1 if a > b else 0,
+    ">=": lambda a, b, pos: 1 if a >= b else 0,
+}
+
+
+def failing(cls, message: str, pos: Position) -> Expr:
+    """An expression that raises cls(message, pos) each time it runs."""
+    return lambda lookup: _raise(cls(message, pos))
+
+
+def _fetch(name: str, pos: Position) -> Expr:
+    def fetch(lookup):
+        value = lookup(name)
+        if value is None:
+            raise UnresolvedNameError(name, pos)
+        return value
+
+    return fetch
+
+
+def _unary(tok: Token, operand: Expr) -> Expr:
+    op, pos = tok.text, tok.pos
+    if op == "!":
+        return lambda lookup: 0 if truthy(operand(lookup)) else 1
+    f = operator.invert if op == "~" else operator.neg
+
+    def apply(lookup):
+        v = operand(lookup)
+        if not isinstance(v, int):
+            raise EvalError(f"operator '{op}' needs an integer operand", pos)
+        return wrap64(f(v))
+
+    return apply
+
+
+def _step(tok: Token, fault: Optional[Expr]):
+    """One binary operator as step(left value, right, lookup) -> value;
+    the step runs its right operand itself.  fault raises the parse fault
+    inside the right operand, if it holds one."""
+    op, pos = tok.text, tok.pos
+    if op in ("&&", "||"):
+        go_on = op == "&&"  # the truth of the left side that reads on
+
+        def logical(a, right, lookup):
+            if truthy(a) is go_on:
+                return 1 if truthy(right(lookup)) else 0
+            if fault is not None:
+                fault(lookup)
+            return 0 if go_on else 1
+
+        return logical
+    f = _INT_OPS[op]
+    if op == "+":
+        message = "operator '+' needs two integers or two strings"
+    else:
+        message = f"operator '{op}' needs integer operands"
+
+    def arith(a, right, lookup):
+        b = right(lookup)
+        if isinstance(a, int) and isinstance(b, int):
+            return f(a, b, pos)
+        if op == "+" and isinstance(a, str) and isinstance(b, str):
+            return a + b
+        raise EvalError(message, pos)
+
+    return arith
+
+
+def _chain(first: Expr, steps: list) -> Expr:
+    """first, then each (step, right) of one precedence run in turn."""
+    if not steps:
+        return first
+
+    def chain(lookup):
+        value = first(lookup)
+        for step, right in steps:
+            value = step(value, right, lookup)
+        return value
+
+    return chain
+
+
+# a step that runs its right operand only for its faults: it follows a
+# complete expression with the parse fault that comes after it
+_THEN = lambda a, right, lookup: right(lookup)  # noqa: E731
+
+
+class _Compiler:
+    def __init__(self, tokens):
+        self.tokens = tokens
         self.i = 0
         self.depth = 0
-
-    # -- cursor helpers --
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        # raises the parse fault once the parse has stopped at one
+        self.fault: Optional[Expr] = None
+        # every name read, in a skipped side too
+        self.names: dict[str, None] = {}
 
     def here(self) -> Position:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i].pos
-        if self.tokens:
-            return self.tokens[-1].pos
-        return NO_POS
+        tokens = self.tokens
+        return tokens[min(self.i, len(tokens) - 1)].pos if tokens else NO_POS
 
-    def fail(self, message: str) -> None:
-        raise EvalError(message, self.here())
+    def stop(self, message: str, pos=None, cls=EvalError) -> Expr:
+        """End the parse at a fault; returns the node that raises it."""
+        self.fault = failing(cls, message, pos or self.here())
+        return self.fault
 
-    def too_deep(self) -> None:
-        raise LimitError(
-            f"expression nesting exceeds {MAX_NESTING} levels", self.here()
-        )
+    def too_deep(self) -> Expr:
+        message = f"expression nesting exceeds {MAX_NESTING} levels"
+        return self.stop(message, cls=LimitError)
 
     # -- grammar --
 
-    def expression(self, min_prec: int = 1, dead: bool = False) -> Value:
+    def expression(self, min_prec: int = 1) -> Expr:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.too_deep()
-        left = self.unary(dead)
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind is not TokenKind.OPERATOR:
+            return self.too_deep()
+        first = self.unary()
+        steps = []
+        tokens = self.tokens
+        while self.fault is None and self.i < len(tokens):
+            tok = tokens[self.i]
+            if tok.kind is not TokenKind.OPERATOR:
                 break
             prec = PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
                 break
             self.i += 1
-            if tok.text in ("&&", "||"):
-                left = self.logical(tok, left, prec, dead)
-            else:
-                right = self.expression(prec + 1, dead)
-                if not dead:
-                    left = self.binary(tok, left, right)
+            right = self.expression(prec + 1)
+            steps.append((_step(tok, self.fault), right))
         self.depth -= 1
-        return left
+        return _chain(first, steps)
 
-    def logical(self, tok: Token, left: Value, prec: int, dead: bool) -> Value:
-        if dead:
-            self.expression(prec + 1, True)
-            return 0
-        want_more = truthy(left) if tok.text == "&&" else not truthy(left)
-        right = self.expression(prec + 1, dead=not want_more)
-        if not want_more:
-            # short-circuit: the skipped side was parsed, not evaluated
-            return 1 if tok.text == "||" else 0
-        return 1 if truthy(right) else 0
+    def unary(self) -> Expr:
+        if self.i < len(self.tokens):
+            tok = self.tokens[self.i]
+            if tok.kind is TokenKind.OPERATOR and tok.text in _UNARY:
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    return self.too_deep()
+                self.i += 1
+                operand = self.unary()
+                self.depth -= 1
+                return _unary(tok, operand)
+        return self.primary()
 
-    def unary(self, dead: bool) -> Value:
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.OPERATOR and tok.text in _UNARY:
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                self.too_deep()
-            self.i += 1
-            operand = self.unary(dead)
-            self.depth -= 1
-            if dead:
-                return 0
-            if tok.text == "!":
-                return 0 if truthy(operand) else 1
-            if not isinstance(operand, int):
-                raise EvalError(
-                    f"operator '{tok.text}' needs an integer operand", tok.pos
-                )
-            if tok.text == "~":
-                return wrap64(~operand)
-            return wrap64(-operand)
-        return self.primary(dead)
-
-    def primary(self, dead: bool) -> Value:
-        tok = self.peek()
-        if tok is None:
-            self.fail("expected a value")
+    def primary(self) -> Expr:
+        tokens = self.tokens
+        if self.i >= len(tokens):
+            return self.stop("expected a value")
+        tok = tokens[self.i]
         self.i += 1
         if tok.kind is TokenKind.INTEGER:
-            return wrap64(tok.value)
+            value = wrap64(tok.value)
+            return lambda lookup: value
         if tok.kind is TokenKind.STRING:
-            return tok.string_text
+            text = tok.string_text
+            return lambda lookup: text
         if tok.is_punct("("):
-            value = self.expression(1, dead)
-            closing = self.peek()
-            if closing is None or not closing.is_punct(")"):
-                self.fail("missing ')'")
-            self.i += 1
-            return value
+            inner = self.expression()
+            if self.fault is None:
+                if self.i < len(tokens) and tokens[self.i].is_punct(")"):
+                    self.i += 1
+                else:
+                    inner = _chain(inner, [(_THEN, self.stop("missing ')'"))])
+            return inner
         if tok.kind is TokenKind.IDENTIFIER:
             start = self.i - 1
-            self.i = dotted_name_end(self.tokens, start)
-            if dead:
-                return 0
+            self.i = dotted_name_end(tokens, start)
             name = tok.text
             if self.i > start + 1:
-                name = ".".join(t.text for t in self.tokens[start : self.i : 2])
-            value = self.lookup(name) if self.lookup is not None else None
-            if value is None:
-                raise UnresolvedNameError(name, tok.pos)
-            return value
-        raise EvalError(f"unexpected '{tok.text}'", tok.pos)
+                name = ".".join(t.text for t in tokens[start : self.i : 2])
+            self.names[name] = None
+            return _fetch(name, tok.pos)
+        return self.stop(f"unexpected '{tok.text}'", tok.pos)
 
-    def binary(self, tok: Token, a: Value, b: Value) -> Value:
-        op = tok.text
-        if op == "+":
-            if isinstance(a, str) and isinstance(b, str):
-                return a + b
-            if isinstance(a, int) and isinstance(b, int):
-                return wrap64(a + b)
-            raise EvalError(
-                "operator '+' needs two integers or two strings", tok.pos
-            )
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise EvalError(f"operator '{op}' needs integer operands", tok.pos)
-        if op == "-":
-            return wrap64(a - b)
-        if op == "*":
-            return wrap64(a * b)
-        if op == "/":
-            if b == 0:
-                raise EvalError("division by zero", tok.pos)
-            return wrap64(_trunc_div(a, b))
-        if op == "%":
-            if b == 0:
-                raise EvalError("modulo by zero", tok.pos)
-            return wrap64(a - _trunc_div(a, b) * b)
-        if op == "<<":
-            if not 0 <= b <= 63:
-                raise EvalError("shift count out of range", tok.pos)
-            return wrap64(a << b)
-        if op == ">>":
-            if not 0 <= b <= 63:
-                raise EvalError("shift count out of range", tok.pos)
-            return a >> b
-        if op == "&":
-            return wrap64(a & b)
-        if op == "^":
-            return wrap64(a ^ b)
-        if op == "|":
-            return wrap64(a | b)
-        if op == "=":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        # <, <=, >, >= on integers only
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        return 1 if a >= b else 0
+
+_NO_NAMES: Lookup = {}.get
+
+
+def compile_expr(tokens) -> Expr:
+    """Compile a token sequence as one expression, whole."""
+    c = _Compiler(tokens)
+    if not tokens:
+        return c.stop("expected an expression")
+    node = c.expression()
+    if c.fault is None and c.i < len(tokens):
+        fault = c.stop(f"unexpected '{tokens[c.i].text}'")
+        node = _chain(node, [(_THEN, fault)])
+    return node
 
 
 def evaluate(tokens, lookup: Lookup | None = None) -> Value:
     """Evaluate a token sequence as one expression, whole."""
-    ev = _Evaluator(tokens, lookup)
-    if ev.at_end():
-        ev.fail("expected an expression")
-    value = ev.expression()
-    if not ev.at_end():
-        ev.fail(f"unexpected '{ev.peek().text}'")
-    return value
+    return compile_expr(tokens)(lookup or _NO_NAMES)
 
 
-def _value_list(ev: _Evaluator, split: bool):
-    """Walk a value list: expressions, optionally comma separated, each
-    taking the longest parse it can.  Yields each value; with split, each
-    value's tokens unevaluated, or None for a bare '?'."""
-    while not ev.at_end():
-        start = ev.i
-        if not split:
-            yield ev.expression()
-        elif ev.peek().is_punct("?"):
-            ev.i += 1
-            yield None
+def split_values(tokens) -> tuple[list, Optional[Expr]]:
+    """Compile a value list: expressions, optionally comma separated,
+    each taking the longest parse it can.
+
+    Returns (values, fault).  values holds one (closure, end, names) per
+    value: the closure is None for a bare '?' (one default-valued unit),
+    end is the index just past the value's tokens and names are the
+    names it reads, in a skipped side too.  A parse fault ends the list,
+    inside the last closure or, after a trailing ',', as the last closure
+    itself; fault raises it alone, without running anything before it.
+    """
+    c = _Compiler(tokens)
+    values: list = []
+    while c.i < len(tokens):
+        c.names = {}
+        if tokens[c.i].is_punct("?"):
+            c.i += 1
+            values.append((None, c.i, ()))
         else:
-            ev.expression(dead=True)
-            yield ev.tokens[start : ev.i]
-        if ev.at_end():
+            values.append((c.expression(), c.i, tuple(c.names)))
+        if c.fault is not None or c.i >= len(tokens):
             break
-        if ev.peek().is_punct(","):
-            ev.i += 1
-            if ev.at_end():
-                ev.fail("expected a value after ','")
+        if tokens[c.i].is_punct(","):
+            c.i += 1
+            if c.i >= len(tokens):
+                values.append((c.stop("expected a value after ','"), c.i, ()))
+    return values, c.fault
+
+
+def compile_values(tokens) -> Callable[[Lookup], list[Value]]:
+    """Compile a value list whose values are evaluated in order, each as
+    if before the next is read; a bare '?' is an unexpected token here."""
+    fns = [
+        fn or failing(EvalError, "unexpected '?'", tokens[end - 1].pos)
+        for fn, end, _ in split_values(tokens)[0]
+    ]
+    return lambda lookup: [fn(lookup) for fn in fns]
 
 
 def eval_values(tokens, lookup: Lookup | None = None) -> list[Value]:
-    """Evaluate a value list; each value is evaluated before the next is
-    parsed."""
-    return list(_value_list(_Evaluator(tokens, lookup), split=False))
-
-
-def split_values(tokens):
-    """Parse a value list without evaluating it.
-
-    Yields one token slice per value, or None for a bare '?' (one
-    default-valued unit).  Parse faults raise when iteration reaches
-    them, so a caller can act on one value before the next is parsed.
-    """
-    return _value_list(_Evaluator(tokens, None), split=True)
+    """Evaluate a value list; see compile_values."""
+    return compile_values(tokens)(lookup or _NO_NAMES)
 
 
 __all__ = [
+    "Expr",
     "INT64_MAX",
     "INT64_MIN",
     "Lookup",
     "MAX_NESTING",
     "PRECEDENCE",
     "Value",
+    "compile_expr",
+    "compile_values",
     "eval_values",
     "evaluate",
+    "failing",
     "split_values",
     "truthy",
     "wrap64",

@@ -307,6 +307,35 @@ def test_loop_emission():
     assert hexdata("@repeat 2\ndb 5\n@until\n") == "0505"
 
 
+def test_repeat_count_below_one():
+    # zero skips the body without reading the closing condition
+    assert hexdata("@repeat 0\ndb 1\n@until missing\ndb 2\n") == "02"
+    assert printed("@repeat -1\ndb 1\n@until\n") == [
+        "t.s:1:1: negative repeat count"
+    ]
+
+
+def test_loop_value_fault_comes_at_its_iteration():
+    src = "i = 0\n@while i < 10\n@print i\ndb 10 / (5 - i)\ni = i + 1\n@endw\n"
+    assert printed(src) == ["0", "1", "2", "3", "4", "5", "t.s:4:7: division by zero"]
+
+
+def test_dead_parse_fault_in_loop_raises_on_first_run():
+    for line in ("@if 0 && ( 1 +\n@endif\n", "db 0 && ( 1 +\n"):
+        src = "i = 0\n@while i < 3\n@print i\n" + line + "i = i + 1\n@endw\n"
+        log = printed(src)
+        assert log[0] == "0" and len(log) == 2
+        assert log[1].startswith("t.s:4:") and log[1].endswith("expected a value")
+
+
+def test_fixup_in_loop_patches_every_iteration():
+    src = "i = 0\n@while i < 4\ndb end - i\nrw i, end + i\ni = i + 1\n@endw\nend :\n"
+    # 'end' is 16: four bytes, then 0 + 1 + 2 + 3 words
+    assert hexdata(src) == (
+        "10" + "0f" + "1100" + "0e" + "1200" * 2 + "0d" + "1300" * 3
+    )
+
+
 def test_defines_feed_conditions():
     src = "@if mode = 2\ndb 1\n@else\ndb 2\n@endif\n"
     assert hexdata(src, defines={"mode": 2}) == "01"

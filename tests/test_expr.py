@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gtrans.errors import EvalError, UnresolvedNameError
+from gtrans.errors import EvalError, LimitError, TranslationError, UnresolvedNameError
 from gtrans.expr import (
     INT64_MAX,
     INT64_MIN,
@@ -116,12 +116,44 @@ def test_parse_faults():
             ev(bad)
 
 
+_OPEN_201 = "( " * 201 + "1"
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        ("1 / 0 )", "t.s:1:3: division by zero"),
+        ("x || ( 1 +", "t.s:1:1: undefined name 'x'"),
+        ("0 && ( 1 +", "t.s:1:10: expected a value"),
+        ("1 || ( 1 +", "t.s:1:10: expected a value"),
+        ("( 1 / 0", "t.s:1:5: division by zero"),
+        ('- "s" + )', "t.s:1:1: operator '-' needs an integer operand"),
+        ("1 1", "t.s:1:3: unexpected '1'"),
+        ("0 && y", 0),
+        # MAX_NESTING: an earlier value fault wins over the limit, a skipped
+        # side still hits it, and the limit stops the parse where it is
+        ("1 / 0 + " + _OPEN_201, "t.s:1:3: division by zero"),
+        ("0 && " + _OPEN_201, "t.s:1:404: expression nesting exceeds 200 levels"),
+        ("x + " + "- " * 250 + "1", "t.s:1:1: undefined name 'x'"),
+        ("( " * 199 + "1 / 0", "t.s:1:403: expression nesting exceeds 200 levels"),
+        ("(" * 201 + "1" + ")" * 201, "t.s:1:201: expression nesting exceeds 200 levels"),
+    ],
+)
+def test_fault_order(text, outcome):
+    """The first fault in reading order wins: evaluation faults of what
+    was read before a parse fault or the nesting limit come first."""
+    try:
+        got = evaluate(tokenize(text, "t.s"), {}.get)
+    except TranslationError as exc:
+        assert isinstance(exc, LimitError) == ("nesting" in outcome)
+        got = str(exc)
+    assert got == outcome
+
+
 def test_eval_values_greedy():
     def vals(text):
-        return [
-            None if part is None else evaluate(part)
-            for part in split_values(tokenize(text))
-        ]
+        values, _ = split_values(tokenize(text))
+        return [None if fn is None else fn({}.get) for fn, _, _ in values]
 
     assert vals("1, 2 3") == [1, 2, 3]
     assert vals("5 - 3, 2") == [2, 2]
@@ -137,17 +169,28 @@ def test_eval_values_greedy():
 
 
 def test_split_values_parses_without_evaluating():
-    parts = list(split_values(tokenize("missing / 0, ( 1 ) 2")))
-    assert [[t.text for t in p] for p in parts] == [
+    tokens = tokenize("missing / 0, ( 1 ) 2")
+    values, fault = split_values(tokens)
+    assert fault is None
+    # each value's tokens end where the next value's start
+    ends = [end for _, end, _ in values]
+    starts = [0] + [e + tokens[e].is_punct(",") for e in ends[:-1]]
+    assert [[t.text for t in tokens[a:b]] for a, b in zip(starts, ends)] == [
         ["missing", "/", "0"],
         ["(", "1", ")"],
         ["2"],
     ]
-    # a parse fault raises only when iteration reaches it
-    parts = split_values(tokenize("1 , 2 +"))
-    assert [t.text for t in next(parts)] == ["1"]
+    assert [names for _, _, names in values] == [("missing",), (), ()]
+    with pytest.raises(UnresolvedNameError):
+        values[0][0]({}.get)
+    assert [fn({}.get) for fn, _, _ in values[1:]] == [1, 2]
+    # a parse fault raises only when the value holding it runs, or alone
+    values, fault = split_values(tokenize("1 , 2 +"))
+    assert values[0][0]({}.get) == 1
     with pytest.raises(EvalError, match="expected a value"):
-        next(parts)
+        values[1][0]({}.get)
+    with pytest.raises(EvalError, match="expected a value"):
+        fault({}.get)
 
 
 def test_matches_oracle_on_random_expressions():

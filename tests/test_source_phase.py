@@ -97,8 +97,18 @@ def test_repeat_with_count():
 
 
 def test_repeat_runs_at_least_once():
-    # the closing condition is tested after the body, so zero is a lie
+    # the closing condition is tested after the body
     assert rendered("#repeat 1\ndb 0\n#until\n") == "db 0"
+
+
+def test_repeat_zero_skips_body_and_condition():
+    assert rendered("#repeat 0\ndb 1\n#until missing\ndb 2\n") == "db 2"
+
+
+def test_negative_repeat_count_rejected():
+    with pytest.raises(EvalError) as exc:
+        run("#repeat 0 - 1\ndb 1\n#until\n")
+    assert str(exc.value) == "t.s:1:1: negative repeat count"
 
 
 def test_until_condition_alone():
@@ -520,3 +530,15 @@ def test_random_programs_terminate_and_log():
         assert all(s.startswith("p") for s in diags)
         printed += len(diags)
     assert printed > 200  # the corpus actually exercises the paths
+
+
+def test_loop_in_class_body_follows_each_binding():
+    # each expansion runs its own copy of the body, so a loop compiled for
+    # one binding is never reused for another
+    src = (
+        "class emit n , v\n{\nk = 0\n#while k < n\ndb v + k\n"
+        "k = k + 1\n#endw\n}\n"
+        "i = 0\n#while i < 2\nemit 2 , 10\nemit 3 , 20\ni = i + 1\n#endw\n"
+    )
+    assert rendered(src).split("\n").count("db 20 + k") == 6
+    assert rendered(src).split("\n").count("db 10 + k") == 4
