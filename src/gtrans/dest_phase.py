@@ -41,7 +41,7 @@ from .errors import (
     TranslationError,
     UserAbort,
 )
-from .expr import Value, compile_expr, evaluate, failing, split_values
+from .expr import Value, compile_expr, failing, split_values
 from .lexer import DATA_KEYWORDS, Line, LineKind, TokenKind, dotted_name_end
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
@@ -258,28 +258,22 @@ class _DestHandler:
     def _reserve(self, args, keyword: str, size: int, pos: Position):
         """count [,] [value].  The count never looks forward; the value
         may, like any data value."""
-        values, fault = split_values(args)
-        late = None  # a fault that reading in order meets after the count
-        fill = None  # fixup entry of the fill; None for no fill or '?'
-        if not args:
+        # late: a fault that reading in order meets after the count
+        values, late = split_values(args)
+        if not values:
             count = failing(EmitError, "reserve needs a count", pos)
-        elif values[0][0] is None or (fault is not None and len(values) == 1):
-            # a '?' or malformed count: fail where evaluating while parsing
-            # does, at the first value fault or parse fault
-            count = lambda lookup: evaluate(args, lookup)  # noqa: E731
         else:
             count, end, _ = values[0]
-            if end == len(args) - 1 and args[end].is_punct(","):
-                late = failing(EvalError, "expected a value after ','", pos)
-            elif len(values) > 1:
-                fn, fill_end, names = values[1]
-                if fault is not None and len(values) == 2:
-                    late = fault
-                elif fill_end < len(args):
-                    message = "reserve takes a count and at most one value"
-                    late = failing(EmitError, message, pos)
-                elif fn is not None:
-                    fill = (fn, names, size, pos)
+            if count is None:
+                qpos = args[end - 1].pos
+                count = failing(EvalError, "unexpected '?'", qpos)
+        if len(values) > 2:
+            message = "reserve takes a count and at most one value"
+            late = failing(EmitError, message, pos)
+        fill = None  # fixup entry of the fill; None for no fill or '?'
+        if len(values) == 2 and values[1][0] is not None:
+            fn, _, names = values[1]
+            fill = (fn, names, size, pos)
 
         def reserve():
             n = count(self.lookup)

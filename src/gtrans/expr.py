@@ -346,11 +346,6 @@ def compile_values(tokens) -> Callable[[Lookup], list[Value]]:
     return lambda lookup: [fn(lookup) for fn in fns]
 
 
-def eval_values(tokens, lookup: Lookup | None = None) -> list[Value]:
-    """Evaluate a value list; see compile_values."""
-    return compile_values(tokens)(lookup or _NO_NAMES)
-
-
 __all__ = [
     "Expr",
     "INT64_MAX",
@@ -361,7 +356,6 @@ __all__ = [
     "Value",
     "compile_expr",
     "compile_values",
-    "eval_values",
     "evaluate",
     "failing",
     "split_values",

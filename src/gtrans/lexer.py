@@ -1,8 +1,7 @@
 """Tokenizer and line taxonomy.
 
-The scan kernel in gtrans.lexer._pylex turns one line of text into raw
-(kind, text, value, column) tuples; this module wraps them as Tokens and
-classifies each token line by its shape.
+The scanner turns one line of text into Tokens, or raises LexError at
+the first lexical fault; classify gives each token line its shape.
 """
 
 from __future__ import annotations
@@ -10,8 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..errors import LexError, NO_POS, Position
-from ._pylex import ScanError, scan
+from .errors import LexError, Position
 
 
 class TokenKind(enum.IntEnum):
@@ -37,16 +35,13 @@ class LineKind(enum.Enum):
     PLAIN = "plain"
 
 
-# kind code of the scan kernel -> TokenKind, by index
-_KINDS = tuple(TokenKind)
-
-
 class Token:
     """One token: kind, text, integer value (0 unless INTEGER), position.
 
-    Equality and hashing ignore the position.  Tokens are immutable.  The
-    tokens of one lexed line share that line's Position object, and each
-    token keeps only its own column; ``pos`` joins the two on demand.
+    Equality and hashing ignore the position.  Tokens are immutable and
+    only the scanner builds them.  The tokens of one lexed line share that
+    line's Position object, and each token keeps only its own column;
+    ``pos`` joins the two on demand.
     """
 
     __slots__ = ("kind", "text", "value", "_line_pos", "_col")
@@ -54,11 +49,6 @@ class Token:
     kind: TokenKind
     text: str
     value: int
-
-    def __new__(
-        cls, kind: TokenKind, text: str, value: int = 0, pos: Position = NO_POS
-    ) -> Token:
-        return _make(kind, text, value, pos, pos.column)
 
     @property
     def pos(self) -> Position:
@@ -140,20 +130,94 @@ def tokenize(text: str, file: str = "<input>", line: int = 1) -> list[Token]:
     return _tokens(text, Position(file, line, 1))
 
 
+_SPACE = " \t\r\n\f\v"
+_IDENT_START = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_IDENT_CONT = _IDENT_START + "0123456789"
+_DIGITS = "0123456789"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+# two-character operators, checked before the single-character ones
+_OPS2 = ("<=", ">=", "!=", "<>", "&&", "||", "<<", ">>", ":=", "..")
+_OPS1 = "+-*/%<>=!&|^~"
+_PUNCT = "()[]{},:;.?"
+
+
 def _tokens(text: str, line_pos: Position) -> list[Token]:
-    """Tokens of one line, all sharing line_pos (the line's column 1)."""
-    try:
-        raw = scan(text)
-    except ScanError as exc:
-        raise LexError(
-            exc.message, Position(line_pos.file, line_pos.line, exc.column)
-        ) from None
-    tokens = [_make(_KINDS[k], t, v, line_pos, col) for k, t, v, col in raw]
-    if tokens:
-        t0 = tokens[0]
-        if t0.kind is TokenKind.IDENTIFIER and t0.text[0] in "#@":
-            _set_kind(t0, TokenKind.DIRECTIVE_KEY)
-    return tokens
+    """Tokens of one line, all sharing line_pos (the line's column 1).
+
+    This is the hot loop of the whole translator, so it is written flat
+    and index based.
+    """
+    out: list[Token] = []
+    n = len(text)
+    i = 0
+    while i < n:
+        c = text[i]
+        if c in _SPACE:
+            i += 1
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            break
+        col = i + 1
+        value = 0
+        if c in _IDENT_START or c == "#" or c == "@":
+            kind = TokenKind.IDENTIFIER
+            j = i + 1
+            if c == "#" or c == "@":
+                if j >= n or text[j] not in _IDENT_START:
+                    raise _fault("illegal character %r" % c, line_pos, col)
+                j += 1
+                if not out:
+                    kind = TokenKind.DIRECTIVE_KEY
+            while j < n and text[j] in _IDENT_CONT:
+                j += 1
+        elif c in _DIGITS:
+            kind = TokenKind.INTEGER
+            if c == "0" and i + 1 < n and text[i + 1] in "xX":
+                j = i + 2
+                while j < n and text[j] in _HEX_DIGITS:
+                    j += 1
+                if j == i + 2:
+                    raise _fault("invalid numeric literal", line_pos, col)
+                value = int(text[i + 2 : j], 16)
+            else:
+                j = i + 1
+                while j < n and text[j] in _DIGITS:
+                    j += 1
+                value = int(text[i:j])
+            if j < n and text[j] in _IDENT_CONT:
+                raise _fault("invalid numeric literal", line_pos, col)
+        elif c == "'":
+            # exactly one character, no escapes
+            if i + 1 >= n:
+                raise _fault("unterminated character literal", line_pos, col)
+            if text[i + 1] == "'":
+                raise _fault("empty character literal", line_pos, col)
+            if i + 2 >= n or text[i + 2] != "'":
+                raise _fault("unterminated character literal", line_pos, col)
+            kind, j, value = TokenKind.INTEGER, i + 3, ord(text[i + 1])
+        elif c == '"':
+            j = text.find('"', i + 1) + 1
+            if not j:
+                raise _fault("unterminated string literal", line_pos, col)
+            kind = TokenKind.STRING
+        elif text[i : i + 2] in _OPS2:
+            kind, j = TokenKind.OPERATOR, i + 2
+        elif c in _OPS1:
+            kind, j = TokenKind.OPERATOR, i + 1
+        elif c in _PUNCT:
+            kind, j = TokenKind.PUNCTUATION, i + 1
+        else:
+            raise _fault("illegal character %r" % c, line_pos, col)
+        word = text[i:j]
+        if word == "<>":  # an alternate spelling of !=
+            word = "!="
+        out.append(_make(kind, word, value, line_pos, col))
+        i = j
+    return out
+
+
+def _fault(message: str, line_pos: Position, col: int) -> LexError:
+    return LexError(message, Position(line_pos.file, line_pos.line, col))
 
 
 def render(tokens) -> str:

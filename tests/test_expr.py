@@ -8,7 +8,7 @@ from gtrans.errors import EvalError, LimitError, TranslationError, UnresolvedNam
 from gtrans.expr import (
     INT64_MAX,
     INT64_MIN,
-    eval_values,
+    compile_values,
     evaluate,
     split_values,
     truthy,
@@ -164,8 +164,8 @@ def test_eval_values_greedy():
     with pytest.raises(EvalError):
         vals("1,")
     with pytest.raises(EvalError):
-        eval_values(tokenize("?"))
-    assert eval_values(tokenize("5 - 3, 2 'A'")) == [2, 2, 65]
+        compile_values(tokenize("?"))({}.get)
+    assert compile_values(tokenize("5 - 3, 2 'A'"))({}.get) == [2, 2, 65]
 
 
 def test_split_values_parses_without_evaluating():

@@ -70,3 +70,4 @@ def test_reserve_count_faults_in_token_order():
     assert printed("rb 4, 7 )\n") == [
         "t.s:1:1: reserve takes a count and at most one value"
     ]
+    assert printed("rw 3 ,\n") == ["t.s:1:6: expected a value after ','"]
