@@ -42,7 +42,8 @@ from .errors import (
     UserAbort,
 )
 from .expr import Value, compile_expr, failing, split_values
-from .lexer import DATA_KEYWORDS, Line, LineKind, TokenKind, dotted_name_end
+from .lexer import DATA_KEYWORDS, Line, LineKind, TokenKind
+from .lexer import dotted_name, dotted_name_end
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
 
@@ -174,7 +175,7 @@ class _DestHandler:
         if kind is LineKind.ASSIGNMENT:
             return self._assignment(line)
         if kind is LineKind.LABEL:
-            name = _name(line.tokens[:-1])
+            name = dotted_name(line.tokens[:-1])
             return lambda: self._define_label(name, line.pos)
         if kind is LineKind.DATA_EMISSION:
             return self._data_line(line, line.tokens)
@@ -188,7 +189,7 @@ class _DestHandler:
     def _assignment(self, line: Line):
         tokens = line.tokens
         eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
-        name, rhs = _name(tokens[:eq]), compile_expr(tokens[eq + 1 :])
+        name, rhs = dotted_name(tokens[:eq]), compile_expr(tokens[eq + 1 :])
         env, lookup = self.env, self.lookup
 
         def assign():
@@ -211,7 +212,7 @@ class _DestHandler:
             and tokens[k].text in DATA_KEYWORDS
         ):
             raise TranslationError("unrecognized statement", line.pos)
-        return self._data_line(line, tokens[k:], _name(tokens[:j]))
+        return self._data_line(line, tokens[k:], dotted_name(tokens[:j]))
 
     def _data_line(self, line: Line, tokens, label: Optional[str] = None):
         keyword = tokens[0].text
@@ -362,11 +363,6 @@ class _DestHandler:
             self.image.data += s.encode("latin-1")
         except UnicodeEncodeError:
             raise EmitError("string has characters above 0xFF", pos) from None
-
-
-def _name(tokens) -> str:
-    """The dotted name spelled by the identifiers among tokens."""
-    return ".".join(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
 
 
 def run_dest_phase(

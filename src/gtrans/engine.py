@@ -191,7 +191,8 @@ class ControlEngine:
     # -- program stack --
 
     def push(self, lines: Sequence[Line], pos: Position) -> None:
-        if len(self.stack) >= self.limits.max_depth:
+        # the new program's depth is len(self.stack): the top level is 0
+        if len(self.stack) > self.limits.max_depth:
             raise LimitError(
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )

@@ -225,6 +225,11 @@ def render(tokens) -> str:
     return " ".join(t.text for t in tokens)
 
 
+def dotted_name(tokens) -> str:
+    """The dotted name spelled by the identifiers among tokens."""
+    return ".".join(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
+
+
 def dotted_name_end(tokens, start: int = 0) -> int:
     """Index just past the ident ('.' ident)* chain that starts at start."""
     j = start + 1
@@ -295,6 +300,7 @@ __all__ = [
     "Token",
     "TokenKind",
     "classify",
+    "dotted_name",
     "dotted_name_end",
     "make_line",
     "render",

@@ -19,9 +19,19 @@ from typing import Optional
 
 from .classes import ClassTable, expand_body, expand_calls
 from .engine import ControlEngine, Limits
-from .errors import EvalError, Position, StructureError
+from .errors import EvalError, StructureError
 from .expr import Value, evaluate
 from .lexer import Line, LineKind, Token, TokenKind, make_line
+from .lexer import dotted_name, dotted_name_end
+
+# what a rewritten line may become and still reach the stream
+_EMITTED = (
+    LineKind.PLAIN,
+    LineKind.ASSIGNMENT,
+    LineKind.DATA_EMISSION,
+    LineKind.LABEL,
+    LineKind.DEST_DIRECTIVE,
+)
 
 
 class _SourceHandler:
@@ -35,7 +45,7 @@ class _SourceHandler:
 
     def unknown(self, line: Line, engine: ControlEngine) -> Optional[int]:
         # an unrecognized '#' key may name a class used command-style
-        if self._try_invoke(list(line.tokens), engine, line.pos):
+        if self._try_invoke(line, engine):
             return None
         raise StructureError(
             f"unknown directive '{line.tokens[0].text}'", line.tokens[0].pos
@@ -53,106 +63,76 @@ class _SourceHandler:
         if kind is LineKind.SYMBOL_SUBSTITUTION:
             self.table.set_substitution(line.tokens[0].text, line.tokens[2:])
             return None
-        if kind is LineKind.ASSIGNMENT:
-            return self._assignment(line, transformed=False)
-        if kind is LineKind.DATA_EMISSION:
-            return self._data(line)
-        if kind in (LineKind.LABEL, LineKind.DEST_DIRECTIVE):
-            self.out.append(line)
+        # rewrite once: a plain line whole, the values of a data line,
+        # the right side of an assignment; never a label or an '@' line
+        tokens = line.tokens
+        if kind is LineKind.PLAIN:
+            if self._try_invoke(line, engine):
+                return None
+            start = 0
+        elif kind is LineKind.DATA_EMISSION:
+            start = 1
+        elif kind is LineKind.ASSIGNMENT:
+            start = dotted_name_end(tokens) + 1
+        else:
+            self._emit(line, False)
             return None
-        return self._plain(line, engine)
+        part = list(tokens[start:])
+        expanded = expand_calls(part, self.table, self.limits.max_depth)
+        substituted = self.table.substitute(expanded)
+        final = expanded if substituted is None else substituted
+        if final == part:
+            self._emit(line, kind is LineKind.ASSIGNMENT)
+        else:
+            self._retry(make_line([*tokens[:start], *final], line.pos), engine)
+        return None
 
     # -- line shapes --
 
-    def _transform(self, tokens: list[Token]) -> list[Token]:
-        """One round of embedded calls, then one substitution step."""
-        expanded = expand_calls(tokens, self.table, self.limits.max_depth)
-        substituted = self.table.substitute(expanded)
-        return substituted if substituted is not None else expanded
-
-    def _try_invoke(self, tokens, engine: ControlEngine, pos: Position) -> bool:
-        t0 = tokens[0]
-        if t0.kind not in (TokenKind.IDENTIFIER, TokenKind.DIRECTIVE_KEY):
-            return False
+    def _try_invoke(self, line: Line, engine: ControlEngine) -> bool:
+        # class names are identifiers, so no other token can match one
+        t0 = line.tokens[0]
         if not self.table.has_name(t0.text):
             return False
-        resolved = self.table.resolve(t0.text, tokens[1:])
+        resolved = self.table.resolve(t0.text, line.tokens[1:])
         if resolved is None:
             return False
         cls, binding = resolved
+        pos = line.pos
         expansion = []
         for toks in expand_body(cls, binding):
             expansion.append(make_line(toks, toks[0].pos if toks else pos))
         engine.push(expansion, pos)
         return True
 
-    def _plain(self, line: Line, engine: ControlEngine) -> Optional[int]:
-        tokens = list(line.tokens)
-        if self._try_invoke(tokens, engine, line.pos):
-            return None
-        final = self._transform(tokens)
-        if final == tokens:
-            self.out.append(line)
-            return None
-        return self._retry(make_line(final, line.pos), engine)
-
-    def _retry(self, line: Line, engine: ControlEngine) -> Optional[int]:
-        """Dispatch a line that substitution just rewrote.
+    def _retry(self, line: Line, engine: ControlEngine) -> None:
+        """Dispatch a line that a rewrite just changed, by its new shape.
 
         The rewrite itself is not repeated: replacements advance one
         step per scan.  Class resolution does run again, since that is
         the whole point of substituting first.
         """
         kind = line.kind
-        if kind is LineKind.BLANK:
-            return None
-        if kind is LineKind.PLAIN:
-            if self._try_invoke(list(line.tokens), engine, line.pos):
-                return None
-            self.out.append(line)
-            return None
-        if kind is LineKind.ASSIGNMENT:
-            return self._assignment(line, transformed=True)
-        if kind in (
-            LineKind.DATA_EMISSION,
-            LineKind.LABEL,
-            LineKind.DEST_DIRECTIVE,
-        ):
-            self.out.append(line)
-            return None
-        raise StructureError(
-            f"substitution produced a {kind.value} line", line.pos
-        )
+        if kind is LineKind.PLAIN and self._try_invoke(line, engine):
+            return
+        if kind in _EMITTED:
+            self._emit(line, kind is LineKind.ASSIGNMENT)
+        elif kind is not LineKind.BLANK:
+            raise StructureError(
+                f"substitution produced a {kind.value} line", line.pos
+            )
 
-    def _assignment(self, line: Line, transformed: bool) -> Optional[int]:
-        tokens = list(line.tokens)
-        eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
-        if not transformed:
-            rhs = tokens[eq + 1 :]
-            rhs_final = self._transform(rhs)
-            if rhs_final != rhs:
-                tokens = tokens[: eq + 1] + rhs_final
-                line = make_line(tokens, line.pos)
-        name = ".".join(
-            t.text for t in tokens[:eq] if t.kind is TokenKind.IDENTIFIER
-        )
-        try:
-            value = evaluate(tokens[eq + 1 :], self.env.get)
-        except EvalError:
-            pass  # not computable yet; the second phase will evaluate it
-        else:
-            self.env[name] = value
+    def _emit(self, line: Line, bind: bool) -> None:
+        """Append line to the stream; bind it first if it assigns."""
+        if bind:
+            eq = dotted_name_end(line.tokens)
+            try:
+                value = evaluate(line.tokens[eq + 1 :], self.env.get)
+            except EvalError:
+                pass  # not computable yet; the second phase will evaluate it
+            else:
+                self.env[dotted_name(line.tokens[:eq])] = value
         self.out.append(line)
-        return None
-
-    def _data(self, line: Line) -> Optional[int]:
-        tokens = list(line.tokens)
-        values = tokens[1:]
-        final = self._transform(values)
-        if final != values:
-            line = make_line([tokens[0]] + final, line.pos)
-        self.out.append(line)
-        return None
 
     def _collect_class(self, line: Line, engine: ControlEngine) -> int:
         """Parse a class definition, inline or spanning lines.
@@ -221,18 +201,17 @@ class _SourceHandler:
             else:
                 fragment.append(t)
             ti += 1
+        # names, each optionally followed by one comma
         aliases = []
-        k = 0
-        while k < len(tail):
-            t = tail[k]
-            if t.kind is not TokenKind.IDENTIFIER:
+        after_name = False
+        for t in tail:
+            if t.kind is TokenKind.IDENTIFIER:
+                aliases.append(t.text)
+            elif not (after_name and t.is_punct(",")):
                 raise StructureError(
                     f"invalid alias list after class '{name}'", t.pos
                 )
-            aliases.append(t.text)
-            k += 1
-            if k < len(tail) and tail[k].is_punct(","):
-                k += 1
+            after_name = t.kind is TokenKind.IDENTIFIER
         self.table.define(name, pattern, bodies, aliases, line.pos)
         return li + 1
 

@@ -1,6 +1,8 @@
-"""No gtrans module reaches into another module's private names."""
+"""No gtrans module reaches into another module's private names, and
+every private name a module defines is read somewhere in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gtrans
@@ -73,5 +75,72 @@ def test_no_module_reaches_into_another():
         f"{path.relative_to(SRC)}:{line}: {what}"
         for path in files
         for line, what in reach_ins(path.read_text())
+    ]
+    assert faults == []
+
+
+def _reads(node):
+    """How often each name is read under node, as a name or attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and isinstance(n.ctx, ast.Load)
+    )
+
+
+def dead_privates(source):
+    """(line, name) for each private function, class, method and
+    module-level constant that source defines but reads nowhere outside
+    the definition itself, so a recursive call alone does not count."""
+    tree = ast.parse(source)
+    defs = [
+        (node, node.name)
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assign = isinstance(node, ast.Assign)
+            targets = node.targets if assign else [node.target]
+            defs += [
+                (node, n.id)
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            ]
+    total = _reads(tree)
+    return sorted(
+        (node.lineno, name)
+        for node, name in defs
+        if _private(name) and total[name] <= _reads(node)[name]
+    )
+
+
+def test_checker_finds_dead_private_names():
+    src = (
+        "_LIMIT = 3\n"
+        "def _plain(line):\n"
+        "    return _plain(line)\n"
+        "class Handler:\n"
+        "    def content(self):\n"
+        "        return _LIMIT\n"
+        "    def _unused(self):\n"
+        "        pass\n"
+    )
+    assert dead_privates(src) == [(2, "_plain"), (7, "_unused")]
+    # read elsewhere in the module, whether by name or as an attribute
+    src = "def _f(): pass\nclass _C:\n    def _m(self): _f()\n_C()._m()\n"
+    assert dead_privates(src) == []
+    assert dead_privates("_A, _B = 1, 2\nprint(_A)\n") == [(1, "_B")]
+
+
+def test_no_private_name_is_dead():
+    faults = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in dead_privates(path.read_text())
     ]
     assert faults == []

@@ -347,6 +347,9 @@ def test_inline_body_is_one_line():
 def test_aliases_share_one_body():
     src = "class add a { db a } plus, also\nplus 1\nalso 2\n"
     assert rendered(src) == "db 1\ndb 2"
+    # commas are optional, and one may trail
+    src = "class add a { db a } plus also ,\nplus 1\nalso 2\n"
+    assert rendered(src) == "db 1\ndb 2"
 
 
 def test_nested_braces_stay_in_body():
@@ -377,8 +380,12 @@ def test_stray_brace_rejected():
 
 
 def test_bad_alias_list():
-    with pytest.raises(StructureError, match="invalid alias list"):
-        run("class a { db 1 } 5\n")
+    # reported at the first token that is neither a name nor one comma
+    # after a name
+    for tail, col in (("5", 18), (", b", 18), ("b , , c", 22)):
+        msg = rf"^t\.s:1:{col}: invalid alias list"
+        with pytest.raises(StructureError, match=msg):
+            run(f"class a {{ db 1 }} {tail}\n")
 
 
 def test_loop_inside_class_body_runs_on_expansion():
@@ -408,6 +415,13 @@ def test_expansion_depth_limit():
     src = "class loop { loop }\nloop\n"
     with pytest.raises(LimitError, match="depth"):
         run(src, limits=Limits(max_depth=40))
+    # the top-level program is depth 0: a limit of N allows N levels
+    one = "class nop { db 0x90 }\n"
+    assert rendered(one + "nop\n", limits=Limits(max_depth=1)) == "db 0x90"
+    two = one + "class two { nop }\ntwo\n"
+    with pytest.raises(LimitError, match=r"^t\.s:2:13: expansion depth"):
+        run(two, limits=Limits(max_depth=1))
+    assert rendered("db 1\n", limits=Limits(max_depth=0)) == "db 1"
 
 
 def test_newest_definition_wins():
@@ -494,9 +508,28 @@ def test_substitution_producing_blank_line_vanishes():
 
 
 def test_substitution_producing_class_definition_rejected():
-    src = "bad := class f { db 1 }\nbad\n"
-    with pytest.raises(StructureError, match="substitution produced"):
-        run(src)
+    # a rewritten data line is checked by its new shape like any other
+    for src in ("bad := class f { db 1 }\nbad\n", "q := := 5\ndb q\n"):
+        with pytest.raises(StructureError, match="substitution produced"):
+            run(src)
+    with pytest.raises(StructureError, match=r"^t\.s:2:1: "):
+        run("q := := 5\ndb q\n#print 1\n")
+
+
+def test_rewritten_data_line_that_assigns_is_bound():
+    src = "q := . z = 4\ndb q\n#if db.z = 4\ndb 7\n#endif\n"
+    stream, _, env, _ = run(src)
+    assert render(stream) == "db . z = 4\ndb 7"
+    assert env == {"db.z": 4}
+
+
+def test_rewrite_scope():
+    # the data keyword is never rewritten
+    assert rendered("db := dw\ndb 1\n") == "db 1"
+    # nor are '#' and '@' directive arguments
+    with pytest.raises(EvalError, match=r"^t\.s:2:5: undefined name 'n'"):
+        run("n := 3\n#if n\n#endif\n")
+    assert rendered("n := 3\n@print n\n") == "@print n"
 
 
 def test_embedded_call_in_data_values():
