@@ -23,13 +23,19 @@ Matching rules, in full:
 * A '..' in the pattern introduces one trailing variadic parameter.
   The fixed part before it is then matched left to right, each
   separator taking its leftmost top-level occurrence, and the tail
-  captures whatever remains, possibly nothing.
+  captures whatever remains, possibly nothing.  Nothing past the fixed
+  part's last separator is read.
+
+Resolution skips a candidate without a variadic tail, unmatched, when
+one of its separator texts occurs nowhere in the arguments.  Such a
+pattern can never match, so the winner is the one trying them all gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import LimitError, Position, StructureError
 from .lexer import Token, TokenKind
@@ -61,6 +67,7 @@ class ClassDef:
     aliases: tuple[str, ...]
     seq: int
     pos: Position
+    seps: frozenset[str]  # every separator text of the fixed part
 
 
 def parse_pattern(tokens: Sequence[Token], pos: Position):
@@ -124,20 +131,23 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
     return tuple(fixed), variadic
 
 
-def _own_depths(args: Sequence[Token]) -> list[int]:
-    """Nesting depth per token; a bracket sits at the depth of its pair."""
-    depths = []
+def _iter_depths(args: Sequence[Token]) -> Iterator[int]:
+    """Nesting depth per token, lazily; a bracket sits at the depth of
+    its pair."""
     depth = 0
     for tok in args:
         if tok.text in _OPEN:
-            depths.append(depth)
+            yield depth
             depth += 1
         elif tok.text in _CLOSE:
             depth -= 1
-            depths.append(depth)
+            yield depth
         else:
-            depths.append(depth)
-    return depths
+            yield depth
+
+
+def _own_depths(args: Sequence[Token]) -> list[int]:
+    return list(_iter_depths(args))
 
 
 def _run_at(args, depths, s: int, texts) -> bool:
@@ -149,13 +159,6 @@ def _run_at(args, depths, s: int, texts) -> bool:
 
 def _rightmost_run(args, depths, texts, hi: int) -> Optional[int]:
     for s in range(hi - len(texts), -1, -1):
-        if _run_at(args, depths, s, texts):
-            return s
-    return None
-
-
-def _leftmost_run(args, depths, texts, lo: int) -> Optional[int]:
-    for s in range(lo, len(args) - len(texts) + 1):
         if _run_at(args, depths, s, texts):
             return s
     return None
@@ -222,18 +225,28 @@ def _match_full(elements, args) -> Optional[Binding]:
 
 
 def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
+    """Left to right, reading no token past the fixed part's last
+    separator: depths are computed only as far as the scan reaches, and
+    the tail is sliced off unread."""
     n = len(args)
-    depths = _own_depths(args)
+    depths: list[int] = []
+    lazy = _iter_depths(args)
+
+    def top_run_at(s: int, texts) -> bool:
+        if s + len(texts) > n:
+            return False
+        depths.extend(islice(lazy, s + len(texts) - len(depths)))
+        return _run_at(args, depths, s, texts)
+
     binding: Binding = {}
     pos = 0
     i = 0
     while i < len(fixed):
         e = fixed[i]
         if isinstance(e, Sep):
-            width = len(e.texts)
-            if pos + width > n or not _run_at(args, depths, pos, e.texts):
+            if not top_run_at(pos, e.texts):
                 return None
-            pos += width
+            pos += len(e.texts)
             i += 1
             continue
         run = []
@@ -242,7 +255,10 @@ def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
             i += 1
         if i < len(fixed):
             sep = fixed[i]
-            s = _leftmost_run(args, depths, sep.texts, lo=pos + len(run))
+            s = next(
+                (s for s in range(pos + len(run), n) if top_run_at(s, sep.texts)),
+                None,
+            )
             if s is None:
                 return None
             if not _bind_run(binding, run, args[pos:s]):
@@ -262,7 +278,6 @@ def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
 
 
 def match(cls: ClassDef, args: Sequence[Token]) -> Optional[Binding]:
-    args = list(args)
     if cls.variadic is None:
         return _match_full(cls.fixed, args)
     return _match_variadic(cls.fixed, cls.variadic, args)
@@ -307,6 +322,7 @@ class ClassTable:
             aliases=tuple(aliases),
             seq=len(self.defs),
             pos=pos,
+            seps=frozenset(t for e in fixed if isinstance(e, Sep) for t in e.texts),
         )
         self.defs.append(cls)
         for key in (name, *aliases):
@@ -320,10 +336,18 @@ class ClassTable:
         """Newest matching definition under this name, or None.
 
         Definitions are tried last to first; the first whose pattern
-        matches the arguments wins.
+        matches the arguments wins.  One without a variadic tail is skipped
+        unmatched when a separator text of it is absent from the arguments
+        (a variadic one is not: the check would read its whole tail).
         """
+        present = None
         for seq in reversed(self._by_name.get(name, ())):
             cls = self.defs[seq]
+            if cls.variadic is None and cls.seps:
+                if present is None:
+                    present = {t.text for t in args}
+                if not cls.seps <= present:
+                    continue
             binding = match(cls, args)
             if binding is not None:
                 return cls, binding

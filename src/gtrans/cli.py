@@ -82,10 +82,15 @@ def parse_args(argv) -> TranslatorConfig:
                         help="reject values that do not fit their unit")
     ns = parser.parse_args(list(argv))
     limits = Limits()
-    if ns.max_loop is not None:
-        limits.max_loop = ns.max_loop
-    if ns.max_depth is not None:
-        limits.max_depth = ns.max_depth
+    for flag in ("max_loop", "max_depth"):
+        value = getattr(ns, flag)
+        if value is None:
+            continue
+        if value < 0:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} must be 0 or more, got {value}"
+            )
+        setattr(limits, flag, value)
     return TranslatorConfig(
         rule_files=list(ns.rules),
         source=ns.source,

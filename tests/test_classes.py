@@ -13,8 +13,10 @@ from gtrans.classes import (
     match,
     parse_pattern,
 )
+from gtrans.engine import Limits
 from gtrans.errors import LimitError, NO_POS, StructureError
-from gtrans.lexer import render, tokenize
+from gtrans.lexer import render, tokenize, tokenize_lines
+from gtrans.source_phase import run_source_phase
 
 from oracles import rightmost_binary_split, top_level_positions
 
@@ -390,3 +392,192 @@ def test_top_level_scan_agrees_with_oracle():
                 if args[i].text == op and depths[i] == 0
             ]
             assert mine == top_level_positions(texts(args), [op])
+
+
+# -- resolution shortcuts against trying every candidate ------------------
+
+# overloads of one name: multi-token separator runs, separators that the
+# arguments often hold only inside brackets, variadic and parameterless
+_OVERLOADS = [
+    "",
+    "x",
+    "x y",
+    "x + y",
+    "x * y",
+    "x << y",
+    "x , , y",
+    "x , y",
+    "( x )",
+    "x [ y ]",
+    "x - y + z",
+    ".. rest",
+    "x .. rest",
+    "x , .. rest",
+    "x , , .. rest",
+    "x << y , .. rest",
+]
+_TOKEN_POOL = ["a", "b", "1", "+", "*", "-", ",", "<<", "(", ")", "[", "]"]
+
+
+def _resolve_args(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return ""
+    if roll < 0.6:
+        return _chain(rng, rng.choice(["+", "*", ",", ", ,", "<<", "-"]))
+    if roll < 0.8:
+        return _soup(rng)
+    return " ".join(rng.choice(_TOKEN_POOL) for _ in range(rng.randrange(1, 10)))
+
+
+def _resolve_by_trying_all(table, name, args):
+    for cls in reversed(table.defs):
+        if name == cls.name or name in cls.aliases:
+            binding = match(cls, args)
+            if binding is not None:
+                return cls, binding
+    return None
+
+
+def _sep_texts(cls):
+    return {t for e in cls.fixed if isinstance(e, Sep) for t in e.texts}
+
+
+def test_resolve_agrees_with_trying_every_candidate():
+    rng = random.Random(2024)
+    outcomes = {"none": 0, "older": 0, "absent_sep": 0, "sep_not_top": 0}
+    for _ in range(60):
+        table = ClassTable()
+        for pattern in rng.choices(_OVERLOADS, k=rng.randrange(3, 12)):
+            name = "Q" if rng.random() < 0.15 else "R"
+            define(table, f"{name} {pattern}", ["x"])
+        for _ in range(40):
+            args = toks(_resolve_args(rng))
+            got = table.resolve("R", args)
+            expect = _resolve_by_trying_all(table, "R", args)
+            if expect is None:
+                assert got is None
+                outcomes["none"] += 1
+                continue
+            assert got is not None and got[0] is expect[0]
+            assert bind_texts(got[1]) == bind_texts(expect[1])
+            newer = [
+                c for c in table.defs[expect[0].seq + 1 :] if c.name == "R"
+            ]
+            outcomes["older"] += bool(newer)
+            present = set(texts(args))
+            for c in newer:
+                if c.variadic is None:
+                    if _sep_texts(c) <= present:
+                        outcomes["sep_not_top"] += 1
+                    else:
+                        outcomes["absent_sep"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+# -- variadic prefix against a leftmost split from the oracle -------------
+
+
+def _leftmost_split(arg_texts, n_params):
+    """'p1 , ... pn , .. rest': each parameter takes the tokens up to the
+    leftmost top-level ',' that leaves it at least one."""
+    hits = top_level_positions(arg_texts, [","])
+    parts = []
+    start = 0
+    for _ in range(n_params):
+        s = next((h for h in hits if h > start), None)
+        if s is None:
+            return None
+        parts.append(arg_texts[start:s])
+        start = s + 1
+    return parts, arg_texts[start:]
+
+
+def _unbalanced(rng):
+    pool = ["a", "b", "1", ",", ",", "(", ")", "[", "]", "+"]
+    return " ".join(rng.choice(pool) for _ in range(rng.randrange(0, 12)))
+
+
+def test_variadic_prefix_matches_leftmost_oracle():
+    rng = random.Random(4711)
+    table = ClassTable()
+    patterns = {
+        1: define(table, "V x , .. rest", ["x"]),
+        2: define(table, "V a , b , .. rest", ["a"]),
+    }
+    matches = rejects = unbalanced_tails = 0
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.4:
+            raw = _unbalanced(rng)
+        elif roll < 0.7:
+            raw = _chain(rng, ",")
+        else:
+            raw = _chain(rng, ",") + " , " + _unbalanced(rng)
+        args = toks(raw)
+        for n_params, cls in patterns.items():
+            got = match(cls, args)
+            expect = _leftmost_split(texts(args), n_params)
+            if expect is None:
+                assert got is None, raw
+                rejects += 1
+                continue
+            params, rest = expect
+            names = ["x"] if n_params == 1 else ["a", "b"]
+            assert got is not None, raw
+            assert [texts(got[k]) for k in names] == params, raw
+            assert texts(got["rest"]) == rest, raw
+            matches += 1
+            depth = min_depth = 0
+            for t in rest:
+                depth += (t in ("(", "[")) - (t in (")", "]"))
+                min_depth = min(min_depth, depth)
+            unbalanced_tails += depth != 0 or min_depth < 0
+    assert matches > 300 and rejects > 500 and unbalanced_tails > 150
+
+
+# -- linearity: the variadic tail is never read ---------------------------
+
+
+class _Unreadable:
+    """Stands for a tail token: reading any attribute of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the matcher read .{name} of a tail token")
+
+
+@pytest.mark.parametrize(
+    "pattern, prefix, bound",
+    [
+        ("x , .. rest", "( a , b ) ,", {"x": ["(", "a", ",", "b", ")"]}),
+        ("a , b , .. rest", "1 , 2 ,", {"a": ["1"], "b": ["2"]}),
+        ("x y .. rest", "1 2", {"x": ["1"], "y": ["2"]}),
+        ("x << y , .. rest", "a << b ,", {"x": ["a"], "y": ["b"]}),
+        (".. rest", "", {}),
+    ],
+)
+def test_variadic_match_reads_no_tail_token(pattern, prefix, bound):
+    table = ClassTable()
+    define(table, "P x", ["older"])
+    cls = define(table, "P " + pattern, ["newer"])
+    tail = [_Unreadable() for _ in range(3)]
+    args = [*toks(prefix), *tail]
+    for got in (match(cls, args), table.resolve("P", args)[1]):
+        assert {k: texts(v) for k, v in got.items() if k != "rest"} == bound
+        assert len(got["rest"]) == 3
+        assert all(a is b for a, b in zip(got["rest"], tail))
+
+
+def test_long_variadic_push_emits_every_value_in_order():
+    values = [7 * j % 251 for j in range(2000)]
+    src = (
+        "class push x\n{\ndb x\n}\n"
+        "class push x , .. rest\n{\ndb x\npush rest\n}\n"
+        "push " + " , ".join(map(str, values)) + "\n"
+    )
+    diags = []
+    stream = run_source_phase(
+        tokenize_lines(src, "t.s"), {}, ClassTable(), diags, Limits(max_depth=5000)
+    )
+    assert diags == []
+    assert [line.render() for line in stream] == [f"db {v}" for v in values]

@@ -48,6 +48,20 @@ def test_limit_flags():
     assert cfg.limits.max_loop == 5 and cfg.limits.max_depth == 7
 
 
+@pytest.mark.parametrize("flag", ["--max-loop", "--max-depth"])
+def test_negative_limit_rejected(flag, tmp_path, capsys):
+    with pytest.raises(UsageError, match=f"{flag} must be 0 or more, got -1"):
+        parse_args(["--in", "p", flag, "-1"])
+    limits = parse_args(["--in", "p", flag, "0"]).limits
+    assert getattr(limits, flag[2:].replace("-", "_")) == 0
+    src = tmp_path / "p.src"
+    src.write_text("db 1\n")
+    out = tmp_path / "p.bin"
+    assert main(["--in", str(src), "--out", str(out), flag, "-1"]) == 1
+    assert capsys.readouterr().err == f"gtrans: {flag} must be 0 or more, got -1\n"
+    assert not out.exists()
+
+
 def test_missing_input_rejected():
     with pytest.raises(UsageError, match="--in"):
         parse_args([])
