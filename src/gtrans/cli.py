@@ -11,6 +11,7 @@ fails (that one is a bug here, not in the user's program).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +19,8 @@ from typing import Optional
 from .classes import ClassTable
 from .dest_phase import EmitImage, run_dest_phase
 from .engine import Limits
-from .errors import InternalError, TranslationError, UsageError, UserAbort
+from .errors import InternalError, Position, TranslationError
+from .errors import UsageError, UserAbort
 from .expr import Value
 from .lexer import tokenize_lines
 from .source_phase import run_source_phase
@@ -103,11 +105,20 @@ def parse_args(argv) -> TranslatorConfig:
     )
 
 
-def _read(path: str) -> str:
+def _read(path: str, name: str) -> str:
+    """The text of a file, or of stdin for '-'; it must be UTF-8.
+    Undecodable bytes become lone surrogates, which ASCII text never has."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+    else:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
+    if not bad:
+        return text
+    head = text[: bad.start()]
+    pos = Position(name, head.count("\n") + 1, len(head) - head.rfind("\n"))
+    raise TranslationError("input is not valid UTF-8", pos)
 
 
 def _write(path: str, payload: bytes) -> None:
@@ -125,10 +136,9 @@ def translate(config: TranslatorConfig) -> RunReport:
     diags = report.diagnostics
     try:
         lines = []
-        for path in config.rule_files:
-            lines.extend(tokenize_lines(_read(path), path))
-        name = "<stdin>" if config.source == "-" else config.source
-        lines.extend(tokenize_lines(_read(config.source), name))
+        for path in [*config.rule_files, config.source]:
+            name = "<stdin>" if path == "-" else path
+            lines.extend(tokenize_lines(_read(path, name), name))
         stream = run_source_phase(
             lines, dict(config.defines), ClassTable(), diags, config.limits
         )

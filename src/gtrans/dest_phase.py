@@ -17,12 +17,13 @@ during the run ends the translation before any fixup is evaluated.
 
 Before the run, '@if [name]' blocks are treated as guarded regions:
 a region stays only while its name is referenced from somewhere outside
-every region of that name.  Starting from all regions included, regions
-whose names lose their references are dropped until nothing changes,
-which removes procedures that are only used by other removed procedures.
-A dropped region leaves no line behind.  An included region is just its
-body: its '@if [name]' and '@endif' lines are left out too, so the run
-never sees a guard.
+every region of that name.  One scan counts each name's references from
+lines outside its own regions.  A name at zero drops: each live line of
+its regions dies once and lowers the count of each name it references,
+so procedures used only by removed procedures go too, in linear time.
+Helpers that only reference each other stay.  A dropped region leaves
+no line behind.  An included region is just its body: its '@if [name]'
+and '@endif' lines are left out too, so the run never sees a guard.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .engine import ControlEngine, Limits, build_structure
 from .errors import (
     EmitError,
     EvalError,
-    InternalError,
     LimitError,
     Position,
     StructureError,
@@ -105,43 +105,52 @@ def _collect_guards(lines, blocks_by_open):
 def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
     """Decide which lines survive guard elimination.
 
-    Returns (visible line indices, included guard names).  Starts with
-    every region included and repeatedly drops regions whose names are
-    no longer referenced outside same-named regions, until stable.  The
-    guard lines of an included region are not visible: only its body is.
+    Returns (visible line indices, included guard names).  The guard
+    lines of an included region are not visible: only its body is.
     """
     blocks_by_open, _ = build_structure(lines, LineKind.DEST_DIRECTIVE)
     regions = _collect_guards(lines, blocks_by_open)
-    cover: list[set[str]] = [set() for _ in lines]
-    for name, lo, hi in regions:
-        for k in range(lo, hi + 1):
-            cover[k].add(name)
-    guard_names = {name for name, _, _ in regions}
-    included = set(guard_names)
-    for _ in range(len(guard_names) + 1):
-        refs: set[str] = set()
-        for k, line in enumerate(lines):
-            if cover[k] - included:
-                continue  # inside a dropped region
-            for t in line.tokens:
-                if (
-                    t.kind is TokenKind.IDENTIFIER
-                    and t.text in guard_names
-                    and t.text not in cover[k]
-                ):
-                    refs.add(t.text)
-        if refs == included:
-            break
-        included = refs
-    else:
-        raise InternalError("guard resolution did not converge")
-    hidden = {k for _, lo, hi in regions for k in (lo, hi)}
-    visible = [
-        k
-        for k in range(len(lines))
-        if not (cover[k] - included) and k not in hidden
-    ]
-    return visible, included
+    if not regions:
+        return list(range(len(lines))), set()
+    count = {name: 0 for name, _, _ in regions}
+    inside = dict(count)  # how many regions of each name cover line k
+    spans = {name: [] for name in count}
+    refs = {}  # names read by each line in a region, own regions aside
+    stack, opens = [], {region[1]: region for region in regions}
+    for k, line in enumerate(lines):
+        while stack and stack[-1][2] < k:
+            inside[stack.pop()[0]] -= 1
+        region = opens.get(k)
+        if region:
+            stack.append(region)
+            spans[region[0]].append(region)
+            inside[region[0]] += 1
+        names = [
+            t.text
+            for t in line.tokens
+            if t.text in count
+            and t.kind is TokenKind.IDENTIFIER
+            and not inside[t.text]
+        ]
+        for name in names:
+            count[name] += 1
+        if stack:
+            refs[k] = names
+    dropped = [name for name, n in count.items() if n == 0]
+    dead = bytearray(len(lines))
+    for name in dropped:  # grows while it is walked
+        for _, lo, hi in spans[name]:
+            for k in range(lo, hi + 1):
+                if not dead[k]:
+                    dead[k] = 1
+                    for ref in refs[k]:
+                        count[ref] -= 1
+                        if count[ref] == 0:
+                            dropped.append(ref)
+    for _, lo, hi in regions:
+        dead[lo] = dead[hi] = 1
+    visible = [k for k, gone in enumerate(dead) if not gone]
+    return visible, set(count).difference(dropped)
 
 
 class _DestHandler:

@@ -329,7 +329,8 @@ def consistent_guard_subsets(guard_names, refs_under):
     """All subsets S with S == {g : g is referenced when S is included}.
 
     refs_under(frozenset) must return the set of names referenced by the
-    stream when exactly that subset of guarded regions is kept.
+    stream when exactly that subset of guarded regions is kept.  A line
+    is kept only when every region covering it is kept.
     """
     names = list(guard_names)
     out = []
@@ -350,3 +351,17 @@ def largest_consistent_subset(guard_names, refs_under):
         if not s <= best:
             raise OracleError("maximal subset is not unique")
     return best
+
+
+def visible_after_guards(covers, guard_lines, included):
+    """Indices of the lines that guard elimination keeps.
+
+    covers[k] holds the name of every region covering line k, its own
+    '@if [name]' and '@endif' included.  A line stays when each of those
+    names is included and it is not a guard line of some region.
+    """
+    return [
+        k
+        for k, cover in enumerate(covers)
+        if set(cover) <= set(included) and k not in guard_lines
+    ]

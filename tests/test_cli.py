@@ -187,6 +187,42 @@ def test_missing_source_file(tmp_path):
     assert "nope.src" in report.diagnostics[-1]
 
 
+# the first byte that is not UTF-8 is at line 2, column 8
+_NOT_UTF8 = b'db 1\ndb "\xc3\xa9" \xff\xfe\n'
+
+
+@pytest.mark.parametrize("bad_file", ["rules", "source"])
+def test_invalid_utf8_file_is_a_user_error(tmp_path, capsys, bad_file):
+    good, bad, out = (tmp_path / n for n in ("good.gt", "bad.src", "p.bin"))
+    good.write_text("db 1\n")
+    bad.write_bytes(_NOT_UTF8)
+    rules, source = (bad, good) if bad_file == "rules" else (good, bad)
+    argv = ["--rules", str(rules), "--in", str(source), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{bad}:2:8: input is not valid UTF-8\n"
+    assert not out.exists()
+
+
+def test_invalid_utf8_stdin_is_a_user_error(tmp_path):
+    out = tmp_path / "p.bin"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtrans.cli", "--in", "-", "--out", str(out)],
+        input=_NOT_UTF8,
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"<stdin>:2:8: input is not valid UTF-8\n"
+    assert not out.exists()
+
+
+def test_line_ends_of_a_file_are_read_as_in_text_mode(tmp_path):
+    src, out = tmp_path / "p.src", tmp_path / "p.bin"
+    src.write_bytes(b"db 1\r\ndb 2\rdb 3\n")
+    report = translate(TranslatorConfig(source=str(src), output=str(out)))
+    assert report.status == "ok" and out.read_bytes() == b"\x01\x02\x03"
+
+
 def test_print_order_crosses_phases(tmp_path):
     source = '@print "second"\n#print "first"\ndb 0\n'
     report, _ = run_files(tmp_path, source)
@@ -281,14 +317,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "nope" in err and "p.src:1:" in err
 
 
-def test_entry_point_process(tmp_path):
-    # end to end through a real process, stdin to stdout; the child
-    # imports the same gtrans as this test, installed or not
+def _child_env():
+    """The environment of a child process that imports the same gtrans
+    as this test, installed or not."""
     env = dict(os.environ)
     src = str(Path(gtrans.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_entry_point_process(tmp_path):
+    # end to end through a real process, stdin to stdout
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "gtrans.cli", "--in", "-", "--format", "hex"],
         input="db 0x90\n",

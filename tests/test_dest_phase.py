@@ -15,9 +15,14 @@ from gtrans.errors import (
     UnresolvedNameError,
     UserAbort,
 )
-from gtrans.lexer import tokenize_lines
+from gtrans.lexer import Line, tokenize_lines
 
-from oracles import OracleError, largest_consistent_subset, oracle_layout
+from oracles import (
+    OracleError,
+    largest_consistent_subset,
+    oracle_layout,
+    visible_after_guards,
+)
 
 
 def emit(src, defines=None, **kw):
@@ -547,6 +552,94 @@ def test_random_guard_programs_match_subset_oracle():
         # the surviving stream must assemble: every visible use resolves
         img = run_dest_phase(lines, {})
         assert set(img.labels) == included
+
+
+def _nested_guard_program(rng, names):
+    """Rows of (text, names of the regions covering the line, guard line?,
+    names the line references) for a program whose regions nest up to
+    three deep, share names and sit around and inside plain '@if' blocks."""
+    rows = []
+
+    def block(cover, depth):
+        for _ in range(rng.randrange(1 if depth == 0 else 0, 4)):
+            r = rng.random() if depth < 4 else 1.0
+            if r < 0.35 and len(cover) < 3:
+                name = rng.choice(names)
+                inner = cover + (name,)
+                rows.append(("@if [%s]" % name, inner, True, []))
+                block(inner, depth + 1)
+                rows.append(("@endif", inner, True, []))
+            elif r < 0.5:
+                rows.append(("@if 1", cover, False, []))
+                block(cover, depth + 1)
+                rows.append(("@endif", cover, False, []))
+            else:
+                refs = [rng.choice(names) for _ in range(rng.randrange(3))]
+                text = "dw " + " , ".join(refs) if refs else "db 0"
+                rows.append((text, cover, False, refs))
+
+    block((), 0)
+    return rows
+
+
+def test_random_nested_guard_programs_match_oracles():
+    rng = random.Random(4142)
+    seen = dict.fromkeys(["nested", "shared", "dropped", "kept"], 0)
+    for _ in range(400):
+        names = ["P%d" % i for i in range(rng.randrange(1, 5))]
+        rows = _nested_guard_program(rng, names)
+        text = "".join(row[0] + "\n" for row in rows)
+        lines = tokenize_lines(text, "t.s")[: len(rows)]
+        covers = [row[1] for row in rows]
+        guard_lines = {k for k, row in enumerate(rows) if row[2]}
+        opened = [row[1][-1] for row in rows if row[0].startswith("@if [")]
+        guard_names = set(opened)
+
+        def refs_under(s):
+            out = set()
+            for _, cover, _, refs in rows:
+                if set(cover) <= s:  # kept only when every cover is kept
+                    out.update(r for r in refs if r not in cover)
+            return out
+
+        visible, included = resolve_guarded_regions(lines)
+        best = largest_consistent_subset(guard_names, refs_under)
+        assert included == set(best)
+        assert visible == visible_after_guards(covers, guard_lines, included)
+        seen["nested"] += any(len(c) >= 2 for c in covers)
+        seen["shared"] += len(opened) > len(guard_names)
+        seen["dropped"] += included < guard_names
+        seen["kept"] += bool(included)
+    assert min(seen.values()) >= 50, seen
+
+
+class _CountedTokens(tuple):
+    """A line's tokens that count how often they are iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_guard_chain_reads_each_line_at_most_twice():
+    # region h<i> is referenced only from region h<i-1>, and nothing
+    # outside references h0, so the whole chain drops
+    n = 2000
+    chain = "".join(
+        "@if [h%d]\nh%d : db 1\ndw h%d\n@endif\n" % (i, i, i + 1)
+        for i in range(n)
+    )
+    src = "db 9\n" + chain + "tail : dw tail\n"
+    lines = [
+        Line(_CountedTokens(line.tokens), line.kind, line.pos)
+        for line in tokenize_lines(src, "t.s")
+    ]
+    visible, included = resolve_guarded_regions(lines)
+    assert included == set()
+    assert visible == [0, 4 * n + 1, 4 * n + 2]
+    assert max(line.tokens.reads for line in lines) <= 2
 
 
 # -- strict range checking -------------------------------------------------

@@ -144,3 +144,57 @@ def test_no_private_name_is_dead():
         for line, name in dead_privates(path.read_text())
     ]
     assert faults == []
+
+
+def unused_imports(source):
+    """(line, name) for each name that source imports but neither reads
+    by name nor lists in __all__.  'from __future__' imports are exempt."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_checker_finds_unused_imports():
+    src = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import os.path\n"
+        "from .errors import InternalError, StructureError\n"
+        "from .lexer import Line as L, make_line\n"
+        "__all__ = ['make_line']\n"
+        "def check(line: L):\n"
+        "    raise StructureError(system.argv)\n"
+    )
+    assert unused_imports(src) == [(2, "os"), (3, "os"), (4, "InternalError")]
+    # an attribute of the same name is not a read of the import
+    assert unused_imports("from x import field\ny = obj.field\n") == [
+        (1, "field")
+    ]
+
+
+def test_no_module_imports_an_unused_name():
+    faults = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert faults == []
