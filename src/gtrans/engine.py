@@ -12,6 +12,11 @@ as a nested program on an explicit stack, so expansion depth never
 touches the Python recursion limit and a break cannot cross an
 expansion boundary.
 
+The engine is phase-neutral and knows no class bodies.  A program
+reaches it with each body already folded into the line that defines it,
+so every line is a directive of the engine's prefix, a blank, or content
+for the handler.
+
 Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
 '#endif' fails fast even when execution would never reach it.
@@ -67,57 +72,27 @@ class Frame:
 
 
 class PhaseHandler(Protocol):
-    def content(self, line: Line, engine: "ControlEngine") -> Optional[int]:
-        """Handle a non-directive line; next pc, or None for pc + 1."""
+    def content(self, line: Line, engine: "ControlEngine") -> None:
+        """Handle a non-directive, non-blank line."""
 
-    def unknown(self, line: Line, engine: "ControlEngine") -> Optional[int]:
+    def unknown(self, line: Line, engine: "ControlEngine") -> None:
         """Handle a directive key the engine does not know."""
 
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
 
 
-def _brace_delta(tokens) -> int:
-    delta = 0
-    for t in tokens:
-        if t.is_punct("{"):
-            delta += 1
-        elif t.is_punct("}"):
-            delta -= 1
-    return delta
-
-
 def build_structure(lines, directive_kind: LineKind):
     """Match every structural directive with its closing line.
 
     Returns (blocks_by_open, owner) where owner maps each elif, else and
-    closing line back to its block.  For '#' lines class bodies are
-    opaque: a '#while' stored inside a body is matched when the
-    expansion runs, not here.  The '@' phase sees no class definitions.
+    closing line back to its block.  Only lines of directive_kind take
+    part; every other line is content to the engine.
     """
-    skip_bodies = directive_kind is LineKind.SOURCE_DIRECTIVE
     blocks_by_open: dict[int, Block] = {}
     owner: dict[int, Block] = {}
     stack: list[Block] = []
-    depth = 0
-    open_brace_pos = NO_POS
     for idx, line in enumerate(lines):
-        if skip_bodies:
-            if depth > 0:
-                depth += _brace_delta(line.tokens)
-                if depth < 0:
-                    raise StructureError("unbalanced '}'", line.pos)
-                continue
-            if line.kind in (
-                LineKind.CLASS_DEFINITION,
-                LineKind.CLASS_BODY_DELIMITER,
-            ):
-                depth += _brace_delta(line.tokens)
-                if depth < 0:
-                    raise StructureError("unbalanced '}'", line.pos)
-                if depth > 0:
-                    open_brace_pos = line.pos
-                continue
         if line.kind is not directive_kind:
             continue
         name = line.tokens[0].text
@@ -147,8 +122,6 @@ def build_structure(lines, directive_kind: LineKind):
             block.close_idx = idx
             blocks_by_open[block.open_idx] = block
             owner[idx] = block
-    if depth != 0:
-        raise StructureError("unclosed '{'", open_brace_pos)
     if stack:
         block = stack[-1]
         name = lines[block.open_idx].tokens[0].text
@@ -217,11 +190,10 @@ class ControlEngine:
             line = prog.lines[prog.pc]
             if line.kind is self.directive_kind:
                 self._directive(prog, *self.compiled(self._compile))
-            elif line.kind is LineKind.BLANK:
-                prog.pc += 1
             else:
-                nxt = self.handler.content(line, self)
-                prog.pc = prog.pc + 1 if nxt is None else nxt
+                if line.kind is not LineKind.BLANK:
+                    self.handler.content(line, self)
+                prog.pc += 1
 
     def compiled(self, build, pc: Optional[int] = None):
         """The compiled form of line pc of the running program, by default
@@ -279,8 +251,8 @@ class ControlEngine:
             self.diagnostics.append(f"{pos.file}:{pos.line}: {message}")
             raise UserAbort(message, pos)
         else:
-            nxt = self.handler.unknown(prog.lines[prog.pc], self)
-            prog.pc = prog.pc + 1 if nxt is None else nxt
+            self.handler.unknown(prog.lines[prog.pc], self)
+            prog.pc += 1
 
     def _count(self, count, pos: Position, what: str) -> int:
         value = count(self.lookup)

@@ -11,11 +11,18 @@ Assignment lines pass through for the second phase to execute, but they
 are also bound here on a best-effort basis so '#' conditions can see
 them; a right side this phase cannot evaluate (say it uses a label) is
 simply left unbound.
+
+Brace blocks are found here, before the engine runs a program: the
+input and each class expansion are framed first, which folds every
+block into the line that opens it.  So a program's brace faults come
+before its directive faults, and a '#while' stored in a class body is
+matched only when the class expands.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Sequence
 
 from .classes import ClassTable, expand_body, expand_calls
 from .engine import ControlEngine, Limits
@@ -32,6 +39,8 @@ _EMITTED = (
     LineKind.LABEL,
     LineKind.DEST_DIRECTIVE,
 )
+# lines that may open a brace block
+_BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
 
 
 class _SourceHandler:
@@ -43,32 +52,28 @@ class _SourceHandler:
 
     # -- engine callbacks --
 
-    def unknown(self, line: Line, engine: ControlEngine) -> Optional[int]:
+    def unknown(self, line: Line, engine: ControlEngine) -> None:
         # an unrecognized '#' key may name a class used command-style
-        if self._try_invoke(line, engine):
-            return None
-        raise StructureError(
-            f"unknown directive '{line.tokens[0].text}'", line.tokens[0].pos
-        )
+        if not self._try_invoke(line, engine):
+            t0 = line.tokens[0]
+            raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
 
-    def content(self, line: Line, engine: ControlEngine) -> Optional[int]:
+    def content(self, line: Line, engine: ControlEngine) -> None:
         kind = line.kind
         if kind is LineKind.CLASS_DEFINITION:
-            return self._collect_class(line, engine)
+            self._define(line)
+            return
         if kind is LineKind.CLASS_BODY_DELIMITER:
-            raise StructureError(
-                f"'{line.tokens[0].text}' outside of a class definition",
-                line.pos,
-            )
+            raise StructureError("'{' outside of a class definition", line.pos)
         if kind is LineKind.SYMBOL_SUBSTITUTION:
             self.table.set_substitution(line.tokens[0].text, line.tokens[2:])
-            return None
+            return
         # rewrite once: a plain line whole, the values of a data line,
         # the right side of an assignment; never a label or an '@' line
         tokens = line.tokens
         if kind is LineKind.PLAIN:
             if self._try_invoke(line, engine):
-                return None
+                return
             start = 0
         elif kind is LineKind.DATA_EMISSION:
             start = 1
@@ -76,7 +81,7 @@ class _SourceHandler:
             start = dotted_name_end(tokens) + 1
         else:
             self._emit(line, False)
-            return None
+            return
         part = list(tokens[start:])
         expanded = expand_calls(part, self.table, self.limits.max_depth)
         substituted = self.table.substitute(expanded)
@@ -85,7 +90,6 @@ class _SourceHandler:
             self._emit(line, kind is LineKind.ASSIGNMENT)
         else:
             self._retry(make_line([*tokens[:start], *final], line.pos), engine)
-        return None
 
     # -- line shapes --
 
@@ -102,7 +106,7 @@ class _SourceHandler:
         expansion = []
         for toks in expand_body(cls, binding):
             expansion.append(make_line(toks, toks[0].pos if toks else pos))
-        engine.push(expansion, pos)
+        engine.push(_frame(expansion), pos)
         return True
 
     def _retry(self, line: Line, engine: ControlEngine) -> None:
@@ -134,77 +138,20 @@ class _SourceHandler:
                 self.env[dotted_name(line.tokens[:eq])] = value
         self.out.append(line)
 
-    def _collect_class(self, line: Line, engine: ControlEngine) -> int:
-        """Parse a class definition, inline or spanning lines.
-
-        Returns the pc just past the closing brace.  Nested braces in
-        the body belong to the body; only the outermost pair delimits.
-        """
-        prog = engine.stack[-1]
-        lines = prog.lines
-        idx = prog.pc
-        header = list(line.tokens)
+    def _define(self, line: Line) -> None:
+        """Register the class a definition line spells."""
+        header = line.tokens
         if len(header) < 2 or header[1].kind is not TokenKind.IDENTIFIER:
             raise StructureError("expected a class name", line.pos)
         name = header[1].text
-        brace_at = next(
-            (k for k, t in enumerate(header) if t.is_punct("{")), None
-        )
-        if brace_at is not None:
-            pattern = header[2:brace_at]
-            toks = header
-            ti = brace_at
-            li = idx
-        else:
-            pattern = header[2:]
-            li = idx + 1
-            while li < len(lines) and lines[li].kind is LineKind.BLANK:
-                li += 1
-            if li >= len(lines) or not lines[li].tokens[0].is_punct("{"):
-                raise StructureError(
-                    f"expected '{{' to open the body of class '{name}'",
-                    line.pos,
-                )
-            toks = list(lines[li].tokens)
-            ti = 0
-        bodies: list[list[Token]] = []
-        fragment: list[Token] = []
-        depth = 0
-        tail: Optional[list[Token]] = None
-        while tail is None:
-            if ti >= len(toks):
-                if fragment:
-                    bodies.append(fragment)
-                    fragment = []
-                li += 1
-                if li >= len(lines):
-                    raise StructureError(
-                        f"the body of class '{name}' is never closed",
-                        line.pos,
-                    )
-                toks = list(lines[li].tokens)
-                ti = 0
-                continue
-            t = toks[ti]
-            if t.is_punct("{"):
-                depth += 1
-                if depth > 1:
-                    fragment.append(t)
-            elif t.is_punct("}"):
-                depth -= 1
-                if depth == 0:
-                    if fragment:
-                        bodies.append(fragment)
-                    tail = toks[ti + 1 :]
-                else:
-                    fragment.append(t)
-            else:
-                fragment.append(t)
-            ti += 1
+        if not isinstance(line, _Framed):
+            raise StructureError(
+                f"expected '{{' to open the body of class '{name}'", line.pos
+            )
         # names, each optionally followed by one comma
         aliases = []
         after_name = False
-        for t in tail:
+        for t in line.tail:
             if t.kind is TokenKind.IDENTIFIER:
                 aliases.append(t.text)
             elif not (after_name and t.is_punct(",")):
@@ -212,8 +159,74 @@ class _SourceHandler:
                     f"invalid alias list after class '{name}'", t.pos
                 )
             after_name = t.kind is TokenKind.IDENTIFIER
-        self.table.define(name, pattern, bodies, aliases, line.pos)
-        return li + 1
+        self.table.define(name, header[2:], line.bodies, aliases, line.pos)
+
+
+@dataclass(frozen=True, slots=True)
+class _Framed(Line):
+    """A line with the brace block it opens folded in: its tokens stop
+    before the '{', then come the body fragments, one per line, and the
+    tokens after the closing '}'."""
+
+    bodies: tuple[tuple[Token, ...], ...]
+    tail: tuple[Token, ...]
+
+
+def _frame(lines: Sequence[Line]) -> list[Line]:
+    """Fold each brace block into the line that opens it.
+
+    A block opens at the first '{' of a class definition, or of a line
+    that starts with '{'.  A definition with no '{' takes the block of
+    the next non-blank line if that line starts with '{'.  Braces nest
+    and only the outermost pair delimits; braces on any other line are
+    left alone.
+    """
+    out: list[Line] = []
+    i, n = 0, len(lines)
+    while i < n:
+        line = lines[i]
+        i += 1
+        if line.kind not in _BRACED:
+            out.append(line)
+            continue
+        head = line.tokens
+        if head[0].is_punct("}"):
+            raise StructureError("unbalanced '}'", line.pos)
+        at = next((k for k, t in enumerate(head) if t.is_punct("{")), None)
+        if at is not None:
+            opener, head = line, head[:at]
+        else:
+            j = i
+            while j < n and lines[j].kind is LineKind.BLANK:
+                j += 1
+            if j == n or not lines[j].tokens[0].is_punct("{"):
+                out.append(line)
+                continue
+            opener, at, i = lines[j], 0, j + 1
+        bodies, tail, i = _block(lines, i, opener, at)
+        out.append(_Framed(head, line.kind, line.pos, bodies, tail))
+    return out
+
+
+def _block(lines: Sequence[Line], i: int, opener: Line, at: int):
+    """(body fragments, tail, index of the next line) of the block whose
+    '{' is opener.tokens[at]; lines[i] is the line after opener."""
+    fragments = []
+    toks, depth = opener.tokens, 1
+    at += 1
+    while True:
+        for k in range(at, len(toks)):
+            if toks[k].is_punct("{"):
+                depth += 1
+            elif toks[k].is_punct("}"):
+                depth -= 1
+                if depth == 0:
+                    fragments.append(toks[at:k])
+                    return tuple(f for f in fragments if f), toks[k + 1 :], i
+        fragments.append(toks[at:])
+        if i == len(lines):
+            raise StructureError("unclosed '{'", opener.pos)
+        toks, at, i = lines[i].tokens, 0, i + 1
 
 
 def run_source_phase(
@@ -230,7 +243,7 @@ def run_source_phase(
     engine = ControlEngine(
         LineKind.SOURCE_DIRECTIVE, handler, env.get, diagnostics, limits
     )
-    engine.run(list(lines))
+    engine.run(_frame(lines))
     return out
 
 

@@ -86,3 +86,48 @@ def gen_directive_program(rng, prefix, max_lines=14):
 
     block(0, [max_lines])
     return "\n".join(lines)
+
+
+# lines and short snippets that open, close, split and nest brace blocks
+_BRACE_POOL = [
+    "",
+    "class f x { db x }",
+    "class g a , b",
+    "class h",
+    "{",
+    "{ db 1 }",
+    "{ db 2",
+    "}",
+    "} al",
+    "} al , bl",
+    "db 3 }",
+    "db 4",
+    "class n { class m { db 5 } }",
+    "class o {",
+    "class p { #while 0",
+    "#endw }",
+    "class r x { #if x",
+    "#endif }",
+    "class q { db 1 } {",
+    "class a } {",
+    "class c { db 1 } }",
+    "class { db 6 }",
+    "class u {\nclass v\n\n{\ndb 9\n}\n}",
+    "class w n\n{\n#while n > 0\ndb n\nn = n - 1\n#endw\n}",
+    "f 1", "g 1 , 2", "h", "m", "n", "o", "p", "q", "r 0", "r 1",
+    "u", "v", "w 2", "al 2", "bl 3", "x := f 2", "x",
+    "#if 1", "#else", "#endif", "#while 0", "#endw", "#repeat 2", "#until",
+    "#print 7", "#frob", "#break", "@if 1", "@endif", "@print 8",
+    "db " + "9" * 700,
+    "db " + "9" * 5000,
+]
+
+
+def gen_brace_program(rng, max_pieces=10):
+    """Random program drawn from a brace-heavy line pool, sometimes with a
+    directive program spliced in."""
+    pieces = [rng.choice(_BRACE_POOL) for _ in range(rng.randrange(1, max_pieces))]
+    if rng.random() < 0.3:
+        at = rng.randrange(len(pieces) + 1)
+        pieces.insert(at, gen_directive_program(rng, rng.choice("#@"), 6))
+    return "\n".join(pieces) + "\n"

@@ -237,6 +237,16 @@ def test_negative_break_level_rejected():
         ("#if 1\n#else\n#elif 1\n#endif\n", "'#elif' after else"),
         ("#if 1\n#else\n#else\n#endif\n", "duplicate '#else'"),
         ("#while 1\n#endif\n", "unexpected '#endif'"),
+        # a stray block, on one line or on several
+        ("{ db 1 }\n", r"^t\.s:1:1: '\{' outside of a class definition"),
+        ("{\ndb 1\n}\n", r"^t\.s:1:1: '\{' outside of a class definition"),
+        # a program's brace faults are found before its directive faults
+        ("#endif\nclass a {\ndb 1\n", r"^t\.s:2:1: unclosed '\{'"),
+        ("#else\n}\n", r"^t\.s:2:1: unbalanced '\}'"),
+        # a header's block opens at its first '{'; a '}' before it is
+        # part of the pattern
+        ("class a } {\n", r"^t\.s:1:1: unclosed '\{'"),
+        ("class a } {\ndb 1\n}\n", "braces cannot be pattern separators"),
     ],
 )
 def test_malformed_structure(src, msg):
@@ -359,7 +369,7 @@ def test_nested_braces_stay_in_body():
 
 
 def test_class_never_closed():
-    # caught by brace tracking when the program is first structured
+    # caught when the program is framed, before it runs
     with pytest.raises(StructureError, match="unclosed"):
         run("class broken {\ndb 1\n")
 
@@ -382,10 +392,35 @@ def test_stray_brace_rejected():
 def test_bad_alias_list():
     # reported at the first token that is neither a name nor one comma
     # after a name
-    for tail, col in (("5", 18), (", b", 18), ("b , , c", 22)):
+    # a brace after the closing one is part of the list, not a new block
+    for tail, col in (("5", 18), (", b", 18), ("b , , c", 22), ("{", 18),
+                      ("}", 18)):
         msg = rf"^t\.s:1:{col}: invalid alias list"
         with pytest.raises(StructureError, match=msg):
             run(f"class a {{ db 1 }} {tail}\n")
+
+
+@pytest.mark.parametrize(
+    "src,out",
+    [
+        # a header, blank lines, then the line that opens its body
+        ("class nop\n\n\n{\ndb 0x90\n}\nnop\n", "db 0x90"),
+        # a definition spanning lines, stored in a body, is framed when
+        # the body expands
+        ("class outer\n{\nclass inner\n\n{\ndb 5\n}\n}\nouter\ninner\n",
+         "db 5"),
+        # a '#while' stored in a body is matched only on expansion
+        ("class bad { #while 1 }\ndb 1\n", "db 1"),
+    ],
+)
+def test_bodies_framed_before_the_program_runs(src, out):
+    assert rendered(src) == out
+
+
+def test_body_structure_checked_on_expansion():
+    msg = r"^t\.s:1:13: '#while' was never closed"
+    with pytest.raises(StructureError, match=msg):
+        run("class bad { #while 1 }\nbad\n")
 
 
 def test_loop_inside_class_body_runs_on_expansion():
