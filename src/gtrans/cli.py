@@ -21,8 +21,8 @@ from .dest_phase import EmitImage, run_dest_phase
 from .engine import Limits
 from .errors import InternalError, Position, TranslationError
 from .errors import UsageError, UserAbort
-from .expr import Value
-from .lexer import tokenize_lines
+from .expr import Value, wrap64
+from .lexer import decimal_value, tokenize_lines
 from .source_phase import run_source_phase
 
 
@@ -54,13 +54,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_define(text: str) -> tuple[str, Value]:
+    """NAME=VALUE; an integer VALUE wraps to 64 bits like any value, and
+    a decimal one may be as long as a decimal literal."""
     name, sep, raw = text.partition("=")
     if not sep or not name:
         raise UsageError(f"--define wants NAME=VALUE, got '{text}'")
     try:
-        return name, int(raw, 0)
+        return name, wrap64(int(raw, 0))
     except ValueError:
-        return name, raw
+        match = re.fullmatch(r"\s*([+-]?)([1-9][0-9]*)\s*", raw)
+        if match is None:
+            return name, raw
+        sign = -1 if match[1] == "-" else 1
+        return name, wrap64(sign * decimal_value(match[2]))
 
 
 def parse_args(argv) -> TranslatorConfig:

@@ -183,7 +183,7 @@ def _tokens(text: str, line_pos: Position) -> list[Token]:
                 j = i + 1
                 while j < n and text[j] in _DIGITS:
                     j += 1
-                value = int(text[i:j])
+                value = decimal_value(text[i:j])
             if j < n and text[j] in _IDENT_CONT:
                 raise _fault("invalid numeric literal", line_pos, col)
         elif c == "'":
@@ -214,6 +214,26 @@ def _tokens(text: str, line_pos: Position) -> list[Token]:
         out.append(_make(kind, word, value, line_pos, col))
         i = j
     return out
+
+
+# the lowest int-string cap CPython accepts (PYTHONINTMAXSTRDIGITS)
+_DECIMAL_CHUNK = 640
+
+
+def decimal_value(digits: str) -> int:
+    """The value of a string of decimal digits, reduced modulo 2**64 when
+    it is longer than one chunk; every value wraps to 64 bits anyway.
+
+    Any length reads in linear time, and int() never gets more digits
+    than the lowest cap, whatever the interpreter's setting.
+    """
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    value = 0
+    for k in range(0, len(digits), _DECIMAL_CHUNK):
+        chunk = digits[k : k + _DECIMAL_CHUNK]
+        value = (value * 10 ** len(chunk) + int(chunk)) % 2**64
+    return value
 
 
 def _fault(message: str, line_pos: Position, col: int) -> LexError:
@@ -300,6 +320,7 @@ __all__ = [
     "Token",
     "TokenKind",
     "classify",
+    "decimal_value",
     "dotted_name",
     "dotted_name_end",
     "make_line",

@@ -1,9 +1,11 @@
 """Driver tests: argument parsing, file plumbing, formats, exit codes."""
 
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from gtrans.cli import (
     translate,
 )
 from gtrans.dest_phase import EmitImage
+from gtrans.engine import Limits
 from gtrans.errors import UsageError
 
 
@@ -77,6 +80,21 @@ def test_bad_format_rejected():
         parse_args(["--in", "p", "--format", "elf"])
 
 
+def test_define_integers_wrap_and_may_be_long():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        defines = parse_args(
+            ["--in", "p", "--define", "BIG=0x1" + "0" * 15 + "5",
+             "--define", "LONG=-1" + "0" * 699 + "3",
+             "--define", "ZERO=0" + "1" * 700]
+        ).defines
+    finally:
+        sys.set_int_max_str_digits(old)
+    # 10**k is 0 modulo 2**64 once k >= 64
+    assert defines == {"BIG": 5, "LONG": -3, "ZERO": "0" + "1" * 700}
+
+
 def test_bad_define_rejected():
     with pytest.raises(UsageError, match="NAME=VALUE"):
         parse_args(["--in", "p", "--define", "JUSTANAME"])
@@ -123,6 +141,30 @@ def test_defines_reach_both_phases(tmp_path):
     source = "#if N = 26\ndb 1\n#endif\n@if N = 26\ndb 2\n@endif\n"
     report, data = run_files(tmp_path, source, defines={"N": 26})
     assert data == b"\x01\x02"
+
+
+def test_seeded_programs_end_ok_or_user_error(tmp_path):
+    # directive programs and a brace-heavy line pool with long literals;
+    # whatever the text, nothing escapes translate() and no run is an
+    # internal error
+    from helpers import gen_brace_program, gen_directive_program
+
+    rng = random.Random(11)
+    src, out = tmp_path / "prog.src", tmp_path / "prog.out"
+    statuses = Counter()
+    for n in range(500):
+        if n % 2:
+            text = gen_directive_program(rng, rng.choice("#@"))
+        else:
+            text = gen_brace_program(rng)
+        src.write_text(text)
+        config = TranslatorConfig(
+            source=str(src), output=str(out), limits=Limits(50, 8)
+        )
+        report = translate(config)
+        assert report.status in ("ok", "user-error"), (text, report)
+        statuses[report.status] += 1
+    assert min(statuses.values()) > 100, statuses
 
 
 def test_endian_flag(tmp_path):

@@ -1,10 +1,12 @@
 """Scanner and line-taxonomy tests."""
 
 import random
+import sys
 
 import pytest
 
 from gtrans.errors import LexError, Position
+from gtrans.expr import wrap64
 from gtrans.lexer import (
     LineKind,
     Token,
@@ -39,6 +41,24 @@ def test_integer_forms():
     assert [t.value for t in toks] == [255, 255, 0xE1A00000, 65]
     assert [t.kind for t in toks] == [TokenKind.INTEGER] * 4
     assert toks[3].text == "'A'"
+
+
+def test_long_decimal_literal_wraps_under_the_lowest_int_string_cap():
+    # 640 is the lowest cap sys.set_int_max_str_digits() accepts
+    rng = random.Random(640)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for size in (640, 641, 700, 5000):
+            digits = "7" + "".join(rng.choice("0123456789") for _ in range(size - 1))
+            exact = 0
+            for d in digits:
+                exact = exact * 10 + ord(d) - ord("0")
+            (tok,) = tokenize(digits)
+            assert (tok.kind, tok.text) == (TokenKind.INTEGER, digits)
+            assert wrap64(tok.value) == wrap64(exact)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_string_literal_keeps_quotes():

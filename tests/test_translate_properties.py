@@ -2,7 +2,8 @@
 
 Random lines of token soup, drawn from directive keys of both phases,
 data keywords, 'class', brackets and braces, ':=', '..', names and
-literals, go through cli.translate() with small limits.  Whatever the
+literals (some of thousands of digits), go through cli.translate() with
+small limits.  Whatever the
 text, the run ends "ok" or "user-error"; "internal-error" (exit 2) is
 reserved for translator bugs.
 """
@@ -31,6 +32,8 @@ _WORDS = st.sampled_from(
     + ["+", "-", "*", "/", "<", "&&", "!"]
     + ["a", "b", "f", "L", "x.y", "n"]
     + ["0", "1", "3", "255", "0x100", '"s"', "'A'"]
+    # decimal literals longer than CPython's default int-string cap
+    + ["1" + "0" * 699, "9" * 5000]
 )
 
 
