@@ -168,14 +168,13 @@ class _DestHandler:
         value = self.env.get(name)
         return self.labels.get(name) if value is None else value
 
-    def unknown(self, line: Line, engine) -> Optional[int]:
+    def unknown(self, line: Line, engine) -> None:
         raise StructureError(
             f"unknown directive '{line.tokens[0].text}'", line.tokens[0].pos
         )
 
-    def content(self, line: Line, engine) -> Optional[int]:
+    def content(self, line: Line, engine) -> None:
         engine.compiled(self._compile)()
-        return None
 
     # -- compiling a line into a closure that runs it --
 

@@ -2,18 +2,17 @@
 
     python tests/differential.py OLD_SRC NEW_SRC [--count N] [--seed S]
 
-Each tree runs in its own interpreter over the same generated programs:
-half from the brace-heavy pool of helpers.gen_brace_program, half from
-helpers.gen_directive_program.  A run's status, diagnostics and output
-bytes are compared program by program.  The report counts the programs
-that agree, split by status, and groups the ones that differ by their
-pair of statuses and first diagnostics, positions stripped.
+Each tree runs in its own interpreter over the same programs from
+helpers.gen_programs: half from a brace-heavy line pool, half '#'/'@'
+control flow.  A run's status, diagnostics and output bytes are compared
+program by program.  The report counts the programs that agree, by
+status, and groups the ones that differ by their pair of statuses and
+last diagnostics, positions stripped.
 """
 
 import argparse
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -21,29 +20,16 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-
-
-def programs(count, seed):
-    from helpers import gen_brace_program, gen_directive_program
-
-    rng = random.Random(seed)
-    for n in range(count):
-        if n % 2:
-            yield gen_directive_program(rng, rng.choice("#@"))
-        else:
-            yield gen_brace_program(rng)
-
-
 def run_side(count, seed):
     """One JSON line per program: [status, diagnostics, output hex]."""
     from gtrans.cli import TranslatorConfig, translate
     from gtrans.engine import Limits
+    from helpers import gen_programs
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # diagnostics name the same file on both sides
         src, out = Path("t.s"), Path("t.out")
-        for text in programs(count, seed):
+        for text in gen_programs(seed, count):
             src.write_text(text)
             out.unlink(missing_ok=True)
             config = TranslatorConfig(
@@ -78,7 +64,7 @@ def main():
         return
     sides = []
     for tree in (args.old, args.new):
-        env = dict(os.environ, PYTHONPATH=f"{tree}{os.pathsep}{HERE}")
+        env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve()))
         cmd = [sys.executable, __file__, "--side",
                "--count", str(args.count), "--seed", str(args.seed)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True,

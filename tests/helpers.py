@@ -1,5 +1,7 @@
 """Shared generators for the randomized tests."""
 
+import random
+
 _BIN_OPS = [
     "+", "-", "*", "/", "%", "<<", ">>", "<", "<=", ">", ">=",
     "=", "!=", "&", "^", "|", "&&", "||",
@@ -126,8 +128,19 @@ _BRACE_POOL = [
 def gen_brace_program(rng, max_pieces=10):
     """Random program drawn from a brace-heavy line pool, sometimes with a
     directive program spliced in."""
-    pieces = [rng.choice(_BRACE_POOL) for _ in range(rng.randrange(1, max_pieces))]
+    size = rng.randrange(1, max_pieces)
+    pieces = [rng.choice(_BRACE_POOL) for _ in range(size)]
     if rng.random() < 0.3:
         at = rng.randrange(len(pieces) + 1)
         pieces.insert(at, gen_directive_program(rng, rng.choice("#@"), 6))
     return "\n".join(pieces) + "\n"
+
+
+def gen_programs(seed, count):
+    """count seeded programs, brace-heavy and '#'/'@' control flow in turn."""
+    rng = random.Random(seed)
+    for n in range(count):
+        if n % 2:
+            yield gen_directive_program(rng, rng.choice("#@"))
+        else:
+            yield gen_brace_program(rng)

@@ -50,7 +50,8 @@ def test_long_decimal_literal_wraps_under_the_lowest_int_string_cap():
     sys.set_int_max_str_digits(640)
     try:
         for size in (640, 641, 700, 5000):
-            digits = "7" + "".join(rng.choice("0123456789") for _ in range(size - 1))
+            rest = (rng.choice("0123456789") for _ in range(size - 1))
+            digits = "7" + "".join(rest)
             exact = 0
             for d in digits:
                 exact = exact * 10 + ord(d) - ord("0")
