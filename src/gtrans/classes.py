@@ -26,6 +26,10 @@ Matching rules, in full:
   captures whatever remains, possibly nothing.  Nothing past the fixed
   part's last separator is read.
 
+Each direction is matched in one pass over the pattern.  Parameters
+wait in a pending run until the next separator is placed, and then take
+the segment between it and the part already matched.
+
 Resolution skips a candidate without a variadic tail, unmatched, when
 one of its separator texts occurs nowhere in the arguments.  Such a
 pattern can never match, so the winner is the one trying them all gives.
@@ -146,10 +150,6 @@ def _iter_depths(args: Sequence[Token]) -> Iterator[int]:
             yield depth
 
 
-def _own_depths(args: Sequence[Token]) -> list[int]:
-    return list(_iter_depths(args))
-
-
 def _run_at(args, depths, s: int, texts) -> bool:
     return all(
         args[s + j].text == texts[j] and depths[s + j] == 0
@@ -157,16 +157,12 @@ def _run_at(args, depths, s: int, texts) -> bool:
     )
 
 
-def _rightmost_run(args, depths, texts, hi: int) -> Optional[int]:
-    for s in range(hi - len(texts), -1, -1):
-        if _run_at(args, depths, s, texts):
-            return s
-    return None
-
-
 def _bind_run(binding: Binding, run: list[str], seg: Sequence[Token]) -> bool:
     """Distribute a segment over a parameter run, one token each except
-    the last, which takes the remainder.  Every parameter needs one."""
+    the last, which takes the remainder.  Every parameter needs one, and
+    an empty run takes only an empty segment."""
+    if not run:
+        return not seg
     if len(seg) < len(run):
         return False
     for k, name in enumerate(run[:-1]):
@@ -176,104 +172,63 @@ def _bind_run(binding: Binding, run: list[str], seg: Sequence[Token]) -> bool:
 
 
 def _match_full(elements, args) -> Optional[Binding]:
-    n = len(args)
-    depths = _own_depths(args)
-    placements: dict[int, tuple[int, int]] = {}
-    window_hi = n
-    for k in range(len(elements) - 1, -1, -1):
-        e = elements[k]
-        if not isinstance(e, Sep):
-            continue
-        width = len(e.texts)
-        if k == len(elements) - 1:
-            s = window_hi - width
-            if s < 0 or not _run_at(args, depths, s, e.texts):
-                return None
-        elif k == 0:
-            if width > window_hi or not _run_at(args, depths, 0, e.texts):
-                return None
-            s = 0
-        else:
-            s = _rightmost_run(args, depths, e.texts, hi=window_hi)
-            if s is None:
-                return None
-        placements[k] = (s, s + width)
-        window_hi = s
+    """Right to left in one pass: each separator is placed below hi, the
+    start of what is already matched, and the parameters between the
+    two take args[end:hi]."""
+    depths = list(_iter_depths(args))
     binding: Binding = {}
-    cursor = 0
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        if isinstance(e, Sep):
-            start, end = placements[i]
-            if start != cursor:
-                return None
-            cursor = end
-            i += 1
+    run: list[str] = []  # parameters after the next separator
+    hi = len(args)
+    last = len(elements) - 1
+    for k in range(last, -1, -1):
+        e = elements[k]
+        if isinstance(e, Param):
+            run.insert(0, e.name)
             continue
-        run = []
-        while i < len(elements) and isinstance(elements[i], Param):
-            run.append(elements[i].name)
-            i += 1
-        seg_end = placements[i][0] if i < len(elements) else n
-        if not _bind_run(binding, run, args[cursor:seg_end]):
+        starts = range(hi - len(e.texts), -1, -1)  # rightmost first
+        if k == last:
+            starts = starts[:1]  # anchored at the end
+        elif k == 0:
+            starts = starts[-1:]  # anchored at the start
+        s = next((s for s in starts if _run_at(args, depths, s, e.texts)), None)
+        if s is None or not _bind_run(binding, run, args[s + len(e.texts) : hi]):
             return None
-        cursor = seg_end
-    if cursor != n:
-        return None
-    return binding
+        run, hi = [], s
+    return binding if _bind_run(binding, run, args[:hi]) else None
 
 
 def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
-    """Left to right, reading no token past the fixed part's last
-    separator: depths are computed only as far as the scan reaches, and
-    the tail is sliced off unread."""
-    n = len(args)
+    """Left to right in one pass, the mirror of _match_full: each
+    separator takes its leftmost top-level run that leaves a token for
+    every parameter before it, and those parameters take args[lo:start].
+    Depths are computed only as far as the scan reaches, and the tail is
+    sliced off unread."""
     depths: list[int] = []
     lazy = _iter_depths(args)
 
     def top_run_at(s: int, texts) -> bool:
-        if s + len(texts) > n:
-            return False
         depths.extend(islice(lazy, s + len(texts) - len(depths)))
         return _run_at(args, depths, s, texts)
 
     binding: Binding = {}
-    pos = 0
-    i = 0
-    while i < len(fixed):
-        e = fixed[i]
-        if isinstance(e, Sep):
-            if not top_run_at(pos, e.texts):
-                return None
-            pos += len(e.texts)
-            i += 1
+    run: list[str] = []  # parameters after the last separator
+    lo = 0
+    for e in fixed:
+        if isinstance(e, Param):
+            run.append(e.name)
             continue
-        run = []
-        while i < len(fixed) and isinstance(fixed[i], Param):
-            run.append(fixed[i].name)
-            i += 1
-        if i < len(fixed):
-            sep = fixed[i]
-            s = next(
-                (s for s in range(pos + len(run), n) if top_run_at(s, sep.texts)),
-                None,
-            )
-            if s is None:
-                return None
-            if not _bind_run(binding, run, args[pos:s]):
-                return None
-            pos = s + len(sep.texts)
-            i += 1
-        else:
-            # fixed part ends with parameters: one token each, the
-            # variadic tail takes everything after them
-            if pos + len(run) > n:
-                return None
-            for name in run:
-                binding[name] = (args[pos],)
-                pos += 1
-    binding[tail] = tuple(args[pos:])
+        starts = range(lo + len(run), len(args) - len(e.texts) + 1)
+        if not run:
+            starts = starts[:1]  # anchored where the last one ended
+        s = next((s for s in starts if top_run_at(s, e.texts)), None)
+        if s is None or not _bind_run(binding, run, args[lo:s]):
+            return None
+        run, lo = [], s + len(e.texts)
+    # trailing parameters take one token each, the tail all after them
+    end = lo + len(run)
+    if not _bind_run(binding, run, args[lo:end]):
+        return None
+    binding[tail] = tuple(args[end:])
     return binding
 
 

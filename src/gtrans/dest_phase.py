@@ -215,7 +215,8 @@ class _DestHandler:
         j = dotted_name_end(tokens)
         k = j + 1 if j < len(tokens) and tokens[j].is_punct(":") else j
         if not (
-            k < len(tokens)
+            tokens[0].kind is TokenKind.IDENTIFIER
+            and k < len(tokens)
             and tokens[k].kind is TokenKind.IDENTIFIER
             and tokens[k].text in DATA_KEYWORDS
         ):

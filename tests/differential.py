@@ -1,24 +1,35 @@
 """Seeded differential of two gtrans source trees through cli.translate().
 
     python tests/differential.py OLD_SRC NEW_SRC [--count N] [--seed S]
+    python tests/differential.py --rev REV NEW_SRC [--count N] [--seed S]
+    python tests/differential.py --rev OLD_REV --rev NEW_REV
 
-Each tree runs in its own interpreter over the same programs from
-helpers.gen_programs: half from a brace-heavy line pool, half '#'/'@'
-control flow.  A run's status, diagnostics and output bytes are compared
-program by program.  The report counts the programs that agree, by
-status, and groups the ones that differ by their pair of statuses and
-last diagnostics, positions stripped.
+A side is a source tree (a directory holding the gtrans package) or, with
+--rev, a git revision of this repository: its src is extracted with
+'git archive' into a temp dir.  Revisions fill the old side first.
+Each side runs in its own interpreter over the same programs from
+helpers.gen_programs: a brace-heavy line pool, '#'/'@' control flow and
+class overloads, in turn.  A run's status, diagnostics and output bytes
+are compared program by program.  The report counts the programs that
+agree, by status, and groups the ones that differ by their pair of
+statuses and last diagnostics, positions stripped.  Each group lists its
+first program indices: program i is item i of gen_programs(seed, count).
 """
 
 import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
+
+SHOWN = 5  # program indices listed per difference group
+
 
 def run_side(count, seed):
     """One JSON line per program: [status, diagnostics, output hex]."""
@@ -51,10 +62,32 @@ def _key(row):
     return row[0], re.sub(r"^\S+:\d+:\d+: ", "", diag)
 
 
+def extract_rev(rev, into):
+    """The src tree of a git revision of this repository, under into."""
+    repo = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return Path(into) / "src"
+
+
+def run_tree(tree, count, seed):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve()))
+    cmd = [sys.executable, __file__, "--side",
+           "--count", str(count), "--seed", str(seed)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", nargs="?")
-    ap.add_argument("new", nargs="?")
+    ap.add_argument("trees", nargs="*", metavar="SRC")
+    ap.add_argument("--rev", action="append", default=[],
+                    help="a git revision whose src is a side, old side first")
     ap.add_argument("--count", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--side", action="store_true", help=argparse.SUPPRESS)
@@ -62,24 +95,24 @@ def main():
     if args.side:
         run_side(args.count, args.seed)
         return
-    sides = []
-    for tree in (args.old, args.new):
-        env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve()))
-        cmd = [sys.executable, __file__, "--side",
-               "--count", str(args.count), "--seed", str(args.seed)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                              check=True)
-        sides.append([json.loads(line) for line in proc.stdout.splitlines()])
-    same, differ = Counter(), Counter()
-    for old, new in zip(*sides):
+    if len(args.rev) + len(args.trees) != 2:
+        ap.error("give two sides: source trees, --rev revisions, or both")
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [extract_rev(rev, Path(tmp, str(k)))
+                 for k, rev in enumerate(args.rev)] + args.trees
+        sides = [run_tree(tree, args.count, args.seed) for tree in trees]
+    same, differ = Counter(), defaultdict(list)
+    for index, (old, new) in enumerate(zip(*sides)):
         if old == new:
             same[old[0]] += 1
         else:
-            differ[_key(old), _key(new)] += 1
+            differ[_key(old), _key(new)].append(index)
     print("identical:", dict(same))
-    print("different:", sum(differ.values()))
-    for (old, new), n in differ.most_common():
-        print(f"{n:6}  {old[0]}: {old[1]}\n        -> {new[0]}: {new[1]}")
+    print("different:", sum(map(len, differ.values())))
+    groups = sorted(differ.items(), key=lambda item: -len(item[1]))
+    for (old, new), indices in groups:
+        print(f"{len(indices):6}  {old[0]}: {old[1]}\n        -> {new[0]}: {new[1]}")
+        print("        programs", " ".join(map(str, indices[:SHOWN])))
 
 
 if __name__ == "__main__":

@@ -136,11 +136,91 @@ def gen_brace_program(rng, max_pieces=10):
     return "\n".join(pieces) + "\n"
 
 
+# overload patterns: multi-token, repeated and bracket separators, leading
+# and trailing ones, runs of parameters, and variadic tails
+_OVERLOAD_POOL = [
+    "", "x", "x y", "x y z", "x + y", "x * y", "x , , y", "x - > y",
+    "( x )", "x [ y ]", ": x", "x ;", "( x , y )", "x + y * z",
+    ".. r", "x .. r", "x , .. r", "x , y , .. r", "x << y , .. r",
+]
+_ARG_POOL = ["a", "1", "2", "+", "*", ",", "-", ">", "<<", ":", ";", "db",
+             "(", ")", "[", "]"]
+_EMBEDDED_POOL = [
+    "class F ( v ) { v + 1 }",
+    "class F ( v , w ) { v * w }",
+    "class G ( v ) { F ( v ) - 1 }",
+    "class G ( ) { 9 }",
+    "class H ( v ) { db v }",
+]
+_CALL_POOL = ["F ( 3 )", "F ( F ( 2 ) )", "G ( 4 )", "F ( 1 , 2 )", "G ( )",
+              "F ( ( 1 , 2 ) )", "H ( 5 )", "F ( [ 1 ] )", "F ( 1"]
+
+
+def _overload(rng, k):
+    """One definition of 'op': its own number, then lines that use its
+    parameters as values, labels and a recursive call on its tail."""
+    pattern = rng.choice(_OVERLOAD_POOL)
+    names = [t for t in pattern.split() if t.isalpha()]
+    body = ["db %d" % k]
+    if names and rng.random() < 0.3:
+        body.append("db " + names[0])
+    if names and rng.random() < 0.15:
+        body.append(names[0] + " : db %d" % k)
+    # recursion ends when a fixed part before '..' shortens the tail
+    if ".." in pattern and not pattern.startswith("..") and rng.random() < 0.6:
+        body.append("op " + names[-1])
+    if len(body) == 1 and rng.random() < 0.5:
+        return "class op %s { %s }" % (pattern, body[0])
+    return "class op %s\n{\n%s\n}" % (pattern, "\n".join(body))
+
+
+def _invocation_args(rng):
+    """A pattern's shape filled with atoms and bracket groups, or a soup."""
+    if rng.random() < 0.4:
+        return " ".join(
+            rng.choice(_ARG_POOL) for _ in range(rng.randrange(0, 9))
+        )
+    parts = []
+    for t in rng.choice(_OVERLOAD_POOL).split():
+        if t == "..":
+            continue
+        if not t.isalpha():
+            parts.append(t)
+        elif rng.random() < 0.25:
+            parts.append("( %s , %s )" % (rng.choice("ab12"), rng.choice("12")))
+        else:
+            parts += [rng.choice("12a") for _ in range(rng.choice([1, 1, 2]))]
+    return " ".join(parts)
+
+
+def gen_class_program(rng, max_lines=10):
+    """Overloads of one name, embedded 'name ( ... )' calls, and
+    invocations whose arguments are pattern-shaped or token soup."""
+    lines = [_overload(rng, k) for k in range(rng.randrange(1, 7))]
+    if rng.random() < 0.6:
+        lines.insert(0, "class op .. r { db 99 }")  # the oldest catches all
+    embedded = rng.random() < 0.6
+    if embedded:
+        lines += rng.sample(_EMBEDDED_POOL, rng.randrange(2, 5))
+    for _ in range(rng.randrange(1, max_lines)):
+        roll = rng.random()
+        if roll < 0.25 and embedded:
+            lines.append("db " + rng.choice(_CALL_POOL))
+        elif roll < 0.85:
+            lines.append("op " + _invocation_args(rng))
+        else:
+            lines.append(_overload(rng, len(lines)))
+    return "\n".join(lines) + "\n"
+
+
 def gen_programs(seed, count):
-    """count seeded programs, brace-heavy and '#'/'@' control flow in turn."""
+    """count seeded programs: brace-heavy, '#'/'@' control flow and class
+    overloads in turn."""
     rng = random.Random(seed)
     for n in range(count):
-        if n % 2:
+        if n % 3 == 1:
             yield gen_directive_program(rng, rng.choice("#@"))
+        elif n % 3 == 2:
+            yield gen_class_program(rng)
         else:
             yield gen_brace_program(rng)

@@ -3,8 +3,9 @@
 Nothing in here imports gtrans.  Each oracle re-derives its answer by a
 different route than the package (a throwaway regex scanner plus an AST
 walker for expressions, a separate sizing walk for label layout,
-exhaustive enumeration for splits and guard subsets) so agreement
-between the two is meaningful.
+exhaustive enumeration for splits and guard subsets, every separator
+placed before any parameter is bound) so agreement between the two is
+meaningful.
 """
 
 import re
@@ -320,6 +321,56 @@ def rightmost_binary_split(texts, op):
         return None
     s = hits[-1]
     return texts[:s], texts[s + 1 :]
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def oracle_match(pattern_texts, arg_texts):
+    """Bind a fixed pattern (no '..') to argument texts, or None.
+
+    The pattern is cut into separator runs, with a parameter run, maybe
+    empty, before, between and after them.  Every separator is placed
+    first, right to left, each at its rightmost top-level position that
+    ends at or before the one placed after it; a separator with no
+    parameter after it must end the arguments, one with none before it
+    must start them.  No placement is revisited.  Then each parameter run
+    takes its segment: one token for each name but the last, which takes
+    the rest, so an empty run takes only an empty segment.
+    """
+    runs, seps = [[]], []
+    for t in pattern_texts:
+        if _NAME_RE.fullmatch(t):
+            runs[-1].append(t)
+        elif seps and not runs[-1]:
+            seps[-1].append(t)  # separator tokens in a row form one run
+        else:
+            seps.append([t])
+            runs.append([])
+    hi = len(arg_texts)
+    cuts = []
+    for i in reversed(range(len(seps))):
+        width = len(seps[i])
+        fits = [
+            p for p in top_level_positions(arg_texts, seps[i]) if p + width <= hi
+        ]
+        if i == len(seps) - 1 and not runs[-1]:
+            fits = [p for p in fits if p + width == hi]
+        elif i == 0 and not runs[0]:
+            fits = [p for p in fits if p == 0]
+        if not fits:
+            return None
+        hi = fits[-1]
+        cuts[:0] = [hi, hi + width]
+    bounds = [0, *cuts, len(arg_texts)]
+    binding = {}
+    for run, lo, hi in zip(runs, bounds[::2], bounds[1::2]):
+        seg = arg_texts[lo:hi]
+        if len(seg) < len(run) or (seg and not run):
+            return None
+        for k, name in enumerate(run):
+            binding[name] = seg[k:] if k == len(run) - 1 else seg[k : k + 1]
+    return binding
 
 
 # --- guard oracle: enumerate every inclusion subset ----------------------

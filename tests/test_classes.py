@@ -18,7 +18,7 @@ from gtrans.errors import LimitError, NO_POS, StructureError
 from gtrans.lexer import render, tokenize, tokenize_lines
 from gtrans.source_phase import run_source_phase
 
-from oracles import rightmost_binary_split, top_level_positions
+from oracles import oracle_match, rightmost_binary_split, top_level_positions
 
 
 def toks(text):
@@ -380,11 +380,11 @@ def test_binary_split_matches_oracle():
 
 def test_top_level_scan_agrees_with_oracle():
     rng = random.Random(99)
-    from gtrans.classes import _own_depths
+    from gtrans.classes import _iter_depths
 
     for _ in range(200):
         args = toks(_soup(rng))
-        depths = _own_depths(args)
+        depths = list(_iter_depths(args))
         for op in ("+", "*"):
             mine = [
                 i
@@ -392,6 +392,69 @@ def test_top_level_scan_agrees_with_oracle():
                 if args[i].text == op and depths[i] == 0
             ]
             assert mine == top_level_positions(texts(args), [op])
+
+
+# -- fixed patterns of any shape against the placement oracle -----------
+
+# multi-token, bracket and repeated separators; each may lead or trail
+_SEPS = ["+", "*", ",", ", ,", "- >", "<<", ":", "(", ")", "[", "]", "( ["]
+
+
+def _fixed_pattern(rng):
+    """Alternating parameter runs and separators, either kind first."""
+    parts, names = [], iter("pqrstuvwxyz")
+    param_turn = rng.random() < 0.6
+    for _ in range(rng.randrange(1, 6)):
+        if param_turn:
+            parts += [next(names) for _ in range(rng.choice([1, 1, 1, 2, 3]))]
+        else:
+            parts.append(rng.choice(_SEPS))
+        param_turn = not param_turn
+    return " ".join(parts)
+
+
+def _args_for(rng, pattern):
+    """Arguments shaped like the pattern, then often disturbed."""
+    parts = []
+    for t in pattern.split(" "):
+        if t.isalpha():
+            parts += [
+                _soup(rng, 1) if rng.random() < 0.3 else rng.choice(_ATOMS)
+                for _ in range(rng.choice([1, 1, 2, 3]))
+            ]
+        else:
+            parts.append(t)
+    if rng.random() < 0.5:
+        at = rng.randrange(len(parts) + 1)
+        roll = rng.random()
+        if roll < 0.4 and at < len(parts):
+            del parts[at]
+        elif roll < 0.8:
+            parts.insert(at, rng.choice(_SEPS + _ATOMS))
+        else:
+            parts.insert(at, "( " + rng.choice(_SEPS) + " )")
+    return " ".join(parts)
+
+
+def test_fixed_patterns_match_placement_oracle():
+    rng = random.Random(31337)
+    matches = rejects = 0
+    for _ in range(250):
+        pattern = _fixed_pattern(rng)
+        table = ClassTable()
+        cls = define(table, "F " + pattern, ["x"])
+        for _ in range(12):
+            args = toks(_args_for(rng, pattern))
+            got = match(cls, args)
+            expect = oracle_match(texts(toks(pattern)), texts(args))
+            if expect is None:
+                assert got is None, (pattern, texts(args))
+                rejects += 1
+            else:
+                assert got is not None, (pattern, texts(args))
+                assert bind_texts(got) == expect, (pattern, texts(args))
+                matches += 1
+    assert matches > 1000 and rejects > 1000, (matches, rejects)
 
 
 # -- resolution shortcuts against trying every candidate ------------------

@@ -185,6 +185,9 @@ def test_labeled_data_defines_and_emits():
     img = emit("t dd ?\n")
     assert img.labels == {"t": 0}
     assert img.data == b"\0\0\0\0"
+    img = emit("a.b db 1\n")
+    assert img.labels == {"a.b": 0}
+    assert img.data == b"\1"
 
 
 def test_labeled_data_with_colon():
@@ -289,9 +292,13 @@ def test_label_arithmetic_measures_data():
     assert hexdata(src) == "68656c6c6f05"
 
 
-def test_unrecognized_statement_rejected():
+@pytest.mark.parametrize(
+    "line", ["mov r0 , r1", "5 db 1", '"s" : db 1', "( db 7"]
+)
+def test_unrecognized_statement_rejected(line):
+    """Data may follow only an identifier or a dotted name, its label."""
     with pytest.raises(TranslationError, match="unrecognized statement"):
-        emit("mov r0 , r1\n")
+        emit(line + "\n")
 
 
 def test_source_leftovers_rejected():
