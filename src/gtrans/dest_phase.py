@@ -196,7 +196,7 @@ class _DestHandler:
 
     def _assignment(self, line: Line):
         tokens = line.tokens
-        eq = next(i for i, t in enumerate(tokens) if t.is_op("="))
+        eq = dotted_name_end(tokens)
         name, rhs = dotted_name(tokens[:eq]), compile_expr(tokens[eq + 1 :])
         env, lookup = self.env, self.lookup
 

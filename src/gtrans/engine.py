@@ -19,7 +19,12 @@ for the handler.
 
 Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
-'#endif' fails fast even when execution would never reach it.
+'#endif' or a bare '#repeat ... #until' fails fast even when execution
+would never reach it.  Loop nesting comes from that structure too: each
+block and each break line knows its innermost loop, so a running loop
+keeps only its pass counter.  A loop's opening line runs once, on entry;
+its closing line ('#endw' re-testing the while condition, or '#until')
+decides the next pass.
 
 A line is compiled when it runs: a directive to its key and its compiled
 condition, count or values, a content line to whatever the phase builds
@@ -36,7 +41,6 @@ from typing import Optional, Protocol, Sequence
 
 from .errors import (
     EvalError,
-    InternalError,
     LimitError,
     NO_POS,
     Position,
@@ -60,15 +64,7 @@ class Block:
     arms: list[int] = field(default_factory=list)
     else_idx: Optional[int] = None
     close_idx: int = -1
-
-
-@dataclass
-class Frame:
-    """One active loop."""
-
-    block: Block
-    iterations: int
-    times: Optional[int] = None
+    outer: Optional[Block] = None  # the innermost loop around this block
 
 
 class PhaseHandler(Protocol):
@@ -86,12 +82,14 @@ def build_structure(lines, directive_kind: LineKind):
     """Match every structural directive with its closing line.
 
     Returns (blocks_by_open, owner) where owner maps each elif, else and
-    closing line back to its block.  Only lines of directive_kind take
-    part; every other line is content to the engine.
+    closing line back to its block, and each break line to the innermost
+    loop around it.  Only lines of directive_kind take part; every other
+    line is content to the engine.
     """
     blocks_by_open: dict[int, Block] = {}
     owner: dict[int, Block] = {}
     stack: list[Block] = []
+    loop: Optional[Block] = None
     for idx, line in enumerate(lines):
         if line.kind is not directive_kind:
             continue
@@ -99,7 +97,12 @@ def build_structure(lines, directive_kind: LineKind):
         base = name[1:]
         pos = line.tokens[0].pos
         if base in _OPENERS:
-            stack.append(Block(base, idx))
+            stack.append(Block(base, idx, outer=loop))
+            if base != "if":
+                loop = stack[-1]
+        elif base == "break":
+            if loop is not None:
+                owner[idx] = loop
         elif base == "elif":
             if not stack or stack[-1].kind != "if":
                 raise StructureError(f"'{name}' without a matching if", pos)
@@ -119,9 +122,16 @@ def build_structure(lines, directive_kind: LineKind):
             if not stack or stack[-1].kind != want:
                 raise StructureError(f"unexpected '{name}'", pos)
             block = stack.pop()
+            head = lines[block.open_idx].tokens
+            if base == "until" and len(head) == 1 and len(line.tokens) == 1:
+                raise StructureError(
+                    "repeat needs a count or a condition on its closing line",
+                    head[0].pos,
+                )
             block.close_idx = idx
             blocks_by_open[block.open_idx] = block
             owner[idx] = block
+            loop = block.outer
     if stack:
         block = stack[-1]
         name = lines[block.open_idx].tokens[0].text
@@ -140,7 +150,8 @@ class _Program:
     # None until the line first runs
     ops: dict[int, object]
     pc: int = 0
-    frames: list[Frame] = field(default_factory=list)
+    # [passes, repeat count or None] of each running loop, by open line
+    loops: dict[int, list] = field(default_factory=dict)
 
 
 class ControlEngine:
@@ -183,8 +194,6 @@ class ControlEngine:
         while self.stack:
             prog = self.stack[-1]
             if prog.pc >= len(prog.lines):
-                if prog.frames:
-                    raise InternalError("loop frames left at program end")
                 self.stack.pop()
                 continue
             line = prog.lines[prog.pc]
@@ -234,9 +243,10 @@ class ControlEngine:
         elif base == "endif":
             prog.pc += 1
         elif base == "while":
-            self._while(prog, arg, pos)
+            prog.loops[prog.pc] = [0, None]
+            self._while(prog, prog.blocks[prog.pc])
         elif base == "endw":
-            prog.pc = prog.owner[prog.pc].open_idx
+            self._while(prog, prog.owner[prog.pc])
         elif base == "repeat":
             self._repeat(prog, arg, pos)
         elif base == "until":
@@ -280,57 +290,37 @@ class ControlEngine:
         else:
             prog.pc = block.close_idx + 1
 
-    def _while(self, prog: _Program, cond, pos: Position) -> None:
-        block = prog.blocks[prog.pc]
-        top = prog.frames[-1] if prog.frames else None
-        if top is not None and top.block is block:
-            frame = top
-        else:
-            frame = Frame(block, 0)
-            prog.frames.append(frame)
-        if truthy(cond(self.lookup)):
-            frame.iterations += 1
-            if frame.iterations > self.limits.max_loop:
-                raise LimitError(
-                    f"loop iteration limit exceeded ({self.limits.max_loop})",
-                    pos,
-                )
-            prog.pc += 1
-        else:
-            prog.frames.pop()
-            prog.pc = block.close_idx + 1
+    def _while(self, prog: _Program, block: Block) -> None:
+        _, cond, pos = self.compiled(self._compile, block.open_idx)
+        self._next_pass(prog, block, truthy(cond(self.lookup)), pos)
 
     def _repeat(self, prog: _Program, count, pos: Position) -> None:
-        block = prog.blocks[prog.pc]
         times: Optional[int] = None
         if count is not None:
             times = self._count(count, pos, "repeat count")
             if times < 0:
                 raise EvalError("negative repeat count", pos)
-            if times == 0:
-                prog.pc = block.close_idx + 1
-                return
-        elif len(prog.lines[block.close_idx].tokens) == 1:
-            raise StructureError(
-                "repeat needs a count or a condition on its closing line", pos
-            )
-        prog.frames.append(Frame(block, 1, times))
-        prog.pc += 1
+        prog.loops[prog.pc] = [0, times]
+        self._next_pass(prog, prog.blocks[prog.pc], times != 0, pos)
 
     def _until(self, prog: _Program, cond, pos: Position) -> None:
         block = prog.owner[prog.pc]
-        if not prog.frames or prog.frames[-1].block is not block:
-            raise InternalError("loop frame mismatch at until")
-        frame = prog.frames[-1]
+        passes, times = prog.loops[block.open_idx]
         done = cond is not None and truthy(cond(self.lookup))
-        if not done and frame.times is not None:
-            done = frame.iterations >= frame.times
-        if done:
-            prog.frames.pop()
-            prog.pc += 1
+        again = not done and (times is None or passes < times)
+        self._next_pass(prog, block, again, pos)
+
+    def _next_pass(self, prog: _Program, block: Block, again: bool, pos):
+        """Start the loop's next pass if again holds, else leave the loop.
+
+        Every pass of every loop is counted here, against max_loop.
+        """
+        if not again:
+            prog.pc = block.close_idx + 1
             return
-        frame.iterations += 1
-        if frame.iterations > self.limits.max_loop:
+        counter = prog.loops[block.open_idx]
+        counter[0] += 1
+        if counter[0] > self.limits.max_loop:
             raise LimitError(
                 f"loop iteration limit exceeded ({self.limits.max_loop})", pos
             )
@@ -340,28 +330,28 @@ class ControlEngine:
         level = 1
         if count is not None:
             level = self._count(count, pos, "break level")
-        if not prog.frames:
+        loop = prog.owner.get(prog.pc)
+        if loop is None:
             raise StructureError("break outside of a loop", pos)
         if level < 0:
             raise StructureError("negative break level", pos)
         if level == 0:
             # continue: hand control to the innermost closing line
-            prog.pc = prog.frames[-1].block.close_idx
+            prog.pc = loop.close_idx
             return
-        if level > len(prog.frames):
+        loops = [loop]
+        while loops[-1].outer is not None:
+            loops.append(loops[-1].outer)
+        if level > len(loops):
             raise StructureError(
-                f"break level {level} exceeds loop nesting {len(prog.frames)}",
-                pos,
+                f"break level {level} exceeds loop nesting {len(loops)}", pos
             )
-        for _ in range(level):
-            frame = prog.frames.pop()
-        prog.pc = frame.block.close_idx + 1
+        prog.pc = loops[level - 1].close_idx + 1
 
 
 __all__ = [
     "Block",
     "ControlEngine",
-    "Frame",
     "Limits",
     "PhaseHandler",
     "build_structure",

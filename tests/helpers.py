@@ -213,14 +213,84 @@ def gen_class_program(rng, max_lines=10):
     return "\n".join(lines) + "\n"
 
 
+# '#break' levels and repeat counts, faulting ones included; the
+# differential runs at max_loop 50, so 48-52 passes sit on both sides of it
+_BREAK_LEVELS = ["", " 0", " 1", " 2", " 3", " 0 - 1", " 1 / 0", " zz", ' "s"']
+_BAD_COUNTS = ["0 - 2", "1 / 0", "zz", '"s"']
+
+
+def gen_loop_program(rng, max_lines=12):
+    """Nested while and repeat loops in '#' and '@' spellings, with breaks
+    of every level, repeat counts that skip, fault or sit at the loop
+    limit, and '#until' lines with and without a condition."""
+    lines = []
+    prefix = rng.choice("#@")
+    mixed = rng.random() < 0.25  # each loop and break picks its spelling
+
+    def passes(work):
+        # a count near the limit only where the enclosing loops stay short
+        if work <= 60 and rng.random() < 0.3:
+            return rng.randrange(48, 53)
+        return rng.randrange(0, 4)
+
+    def block(depth, work, budget, counter):
+        for _ in range(rng.randrange(1, 4)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            p = rng.choice("#@") if mixed else prefix
+            # the top level opens only loops
+            roll = rng.uniform(0.4 if depth == 0 else 0, 1)
+            v = "v%d" % len(lines)
+            if roll < 0.25 or depth >= 3:
+                lines.append(rng.choice(["db 1", p + "print %d" % depth]))
+            elif roll < 0.4:
+                level = rng.choice(_BREAK_LEVELS)
+                if counter and rng.random() < 0.6:
+                    cond = rng.choice(["{0} % 2", "{0} = 1", "{0} > 2", "1"])
+                    lines.extend([p + "if " + cond.format(counter),
+                                  p + "break" + level, p + "endif"])
+                else:
+                    lines.append(p + "break" + level)
+            elif roll < 0.55:
+                n = passes(work)
+                lines.extend(["%s = %d" % (v, n), p + "while %s > 0" % v,
+                              "%s = %s - 1" % (v, v)])
+                block(depth + 1, work * max(n, 1), budget, v)
+                lines.append(p + "endw")
+            elif roll < 0.7:
+                # left by its own break, or by the loop limit
+                n = passes(work)
+                lines.extend(["%s = 0" % v, p + "while 1",
+                              "%s = %s + 1" % (v, v), p + "if %s >= %d" % (v, n),
+                              p + "break" + rng.choice(_BREAK_LEVELS),
+                              p + "endif"])
+                block(depth + 1, work * max(n, 1), budget, v)
+                lines.append(p + "endw")
+            else:
+                n = passes(work)
+                count = rng.choice(["", str(n), str(n), rng.choice(_BAD_COUNTS)])
+                until = rng.choice(["", "", " %s >= %d" % (v, passes(work)),
+                                    " zz"])
+                lines.extend(["%s = 0" % v, (p + "repeat " + count).rstrip(),
+                              "%s = %s + 1" % (v, v)])
+                block(depth + 1, work * max(n, 1), budget, v)
+                lines.append(p + "until" + until)
+
+    block(0, 1, [max_lines], None)
+    return "\n".join(lines) + "\n"
+
+
 def gen_programs(seed, count):
-    """count seeded programs: brace-heavy, '#'/'@' control flow and class
-    overloads in turn."""
+    """count seeded programs: brace-heavy, '#'/'@' control flow, class
+    overloads and nested loops with breaks in turn."""
     rng = random.Random(seed)
     for n in range(count):
-        if n % 3 == 1:
+        if n % 4 == 1:
             yield gen_directive_program(rng, rng.choice("#@"))
-        elif n % 3 == 2:
+        elif n % 4 == 2:
             yield gen_class_program(rng)
+        elif n % 4 == 3:
+            yield gen_loop_program(rng)
         else:
             yield gen_brace_program(rng)

@@ -143,9 +143,9 @@ def test_defines_reach_both_phases(tmp_path):
 
 
 def test_seeded_programs_end_ok_or_user_error(tmp_path):
-    # directive programs, class overloads and a brace-heavy line pool
-    # with long literals; whatever the text, nothing escapes translate()
-    # and no run is an internal error
+    # directive programs, class overloads, nested loops with breaks and a
+    # brace-heavy line pool with long literals; whatever the text, nothing
+    # escapes translate() and no run is an internal error
     from helpers import gen_programs
 
     src, out = tmp_path / "prog.src", tmp_path / "prog.out"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gtrans.classes import ClassTable
+from gtrans.dest_phase import run_dest_phase
 from gtrans.engine import Limits
 from gtrans.errors import (
     EvalError,
@@ -129,8 +130,24 @@ def test_repeat_count_and_condition_first_wins():
 
 
 def test_bare_repeat_rejected():
-    with pytest.raises(StructureError, match="repeat needs a count"):
-        run("#repeat\ndb 1\n#until\n")
+    cases = [
+        ("#repeat\ndb 1\n#until\n", "t.s:1:1"),
+        # found before the program runs, like a dangling '#endif'
+        ("#if 0\n#repeat\n#until\n#endif\ndb 1\n", "t.s:2:1"),
+        ("db 1\n#while 0\n#repeat\n#until\n#endw\n", "t.s:3:1"),
+        ("class c {\ndb 1\n#repeat\n#until\n}\nc\n", "t.s:3:1"),
+        ("@repeat\ndb 1\n@until\n", "t.s:1:1"),
+        # before guard elimination, which would drop the unused region
+        ("@if 0\n@repeat\n@until\n@endif\n", "t.s:2:1"),
+        ("@if [G]\n@repeat\n@until\n@endif\n", "t.s:2:1"),
+    ]
+    for src, where in cases:
+        with pytest.raises(StructureError) as exc:
+            stream, _, _, _ = run(src)
+            run_dest_phase(stream)
+        assert str(exc.value) == (
+            f"{where}: repeat needs a count or a condition on its closing line"
+        )
 
 
 def test_loop_iteration_limit():
@@ -138,6 +155,39 @@ def test_loop_iteration_limit():
         run("#while 1\n#endw\n", limits=Limits(max_loop=50))
     with pytest.raises(LimitError, match="iteration limit"):
         run("#repeat\n#until 0\n", limits=Limits(max_loop=50))
+
+
+# loops spelled with prefix {0} that run {1} passes; the condition-only
+# repeat runs at least one
+_LOOP_SHAPES = {
+    "while": "i = 0\n{0}while i < {1}\ni = i + 1\n{0}endw\n",
+    "repeat n": "{0}repeat {1}\ndb 0\n{0}until\n",
+    "repeat until": "i = 0\n{0}repeat\ni = i + 1\n{0}until i >= {1}\n",
+    "break 0": "i = 0\n{0}while i < {1}\ni = i + 1\n{0}break 0\ndb 1\n{0}endw\n",
+}
+
+
+@pytest.mark.parametrize("max_loop", [0, 1, 2, 3])
+@pytest.mark.parametrize("prefix", ["#", "@"])
+@pytest.mark.parametrize("shape", sorted(_LOOP_SHAPES))
+def test_max_loop_allows_that_many_passes(shape, prefix, max_loop):
+    limits = Limits(max_loop=max_loop)
+
+    def passes(p):
+        src = _LOOP_SHAPES[shape].format(prefix, p)
+        stream, _, _, _ = run(src, limits=limits)
+        run_dest_phase(stream, limits=limits)
+
+    if max_loop or shape != "repeat until":
+        passes(max_loop)
+    with pytest.raises(LimitError) as exc:
+        passes(max_loop + 1)
+    assert str(exc.value).endswith(
+        f"loop iteration limit exceeded ({max_loop})"
+    )
+    if max_loop == 0:  # the first pass is refused at the opening line
+        opener = 1 if shape == "repeat n" else 2
+        assert str(exc.value).startswith(f"t.s:{opener}:1: ")
 
 
 # -- break -----------------------------------------------------------------
