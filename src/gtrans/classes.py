@@ -253,12 +253,14 @@ def expand_body(cls: ClassDef, binding: Binding) -> list[list[Token]]:
 
 
 class ClassTable:
-    """All class definitions plus the symbol substitutions."""
+    """All class definitions plus the symbol substitutions.  version
+    counts changes to either: a rewrite holds while the version stands."""
 
     def __init__(self) -> None:
         self.defs: list[ClassDef] = []
         self._by_name: dict[str, list[int]] = {}
         self.substitutions: dict[str, tuple[Token, ...]] = {}
+        self.version = 0
 
     def define(
         self,
@@ -280,6 +282,7 @@ class ClassTable:
             seps=frozenset(t for e in fixed if isinstance(e, Sep) for t in e.texts),
         )
         self.defs.append(cls)
+        self.version += 1
         for key in (name, *aliases):
             self._by_name.setdefault(key, []).append(cls.seq)
         return cls
@@ -310,6 +313,7 @@ class ClassTable:
 
     def set_substitution(self, name: str, replacement: Sequence[Token]) -> None:
         self.substitutions[name] = tuple(replacement)
+        self.version += 1
 
     def substitute(self, tokens: Sequence[Token]) -> Optional[list[Token]]:
         """One substitution step over a token line.  None if unchanged.

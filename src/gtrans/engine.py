@@ -28,10 +28,12 @@ decides the next pass.
 
 A line is compiled when it runs: a directive to its key and its compiled
 condition, count or values, a content line to whatever the phase builds
-for it (ControlEngine.compiled).  Only lines inside a while or repeat
-block, whose ranges build_structure gives, keep their compiled form, in
-a per-program cache by pc; any other line is compiled each time it runs
-and then dropped, since most lines run once.
+for it (ControlEngine.compiled).  Compiled forms are kept in a
+per-program cache by pc for the lines that can run again: those inside
+a while or repeat block, whose ranges build_structure gives, and every
+line of a program pushed by a line that keeps its own compiled form,
+since a phase may push that same Program again.  Any other line is
+compiled each time it runs and then dropped, since most lines run once.
 """
 
 from __future__ import annotations
@@ -141,14 +143,18 @@ def build_structure(lines, directive_kind: LineKind):
     return blocks_by_open, owner
 
 
-@dataclass
-class _Program:
+@dataclass(eq=False, slots=True)
+class Program:
+    """Lines to push, with what the engine derives from them on the first
+    push: block structure, and which compiled forms are kept.  Pushing
+    it again reuses both; only one push of it runs at a time."""
+
     lines: list[Line]
-    blocks: dict[int, Block]
-    owner: dict[int, Block]
-    # compiled ops of the lines inside while and repeat blocks, by pc;
-    # None until the line first runs
-    ops: dict[int, object]
+    blocks: Optional[dict[int, Block]] = None
+    owner: Optional[dict[int, Block]] = None
+    # compiled forms of the lines that keep one, by pc; None until the
+    # line first runs
+    ops: Optional[dict[int, object]] = None
     pc: int = 0
     # [passes, repeat count or None] of each running loop, by open line
     loops: dict[int, list] = field(default_factory=dict)
@@ -170,27 +176,33 @@ class ControlEngine:
         self.lookup = lookup
         self.diagnostics = diagnostics
         self.limits = limits
-        self.stack: list[_Program] = []
+        self.stack: list[Program] = []
 
     # -- program stack --
 
-    def push(self, lines: Sequence[Line], pos: Position) -> None:
+    def push(self, program: Program, pos: Position) -> None:
         # the new program's depth is len(self.stack): the top level is 0
         if len(self.stack) > self.limits.max_depth:
             raise LimitError(
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )
-        blocks, owner = build_structure(lines, self.directive_kind)
-        ops: dict[int, object] = {}
-        for block in blocks.values():
-            if block.kind != "if":
-                loop = range(block.open_idx, block.close_idx + 1)
-                ops.update(dict.fromkeys(loop))
-        self.stack.append(_Program(list(lines), blocks, owner, ops))
+        if program.blocks is None:  # its first push
+            lines = program.lines
+            blocks, owner = build_structure(lines, self.directive_kind)
+            top = self.stack[-1] if self.stack else None
+            if top is not None and top.pc in top.ops:
+                kept = [range(len(lines))]  # pushed by a kept line: reruns
+            else:
+                kept = [range(b.open_idx, b.close_idx + 1)
+                        for b in blocks.values() if b.kind != "if"]
+            program.ops = {pc: None for pcs in kept for pc in pcs}
+            program.blocks, program.owner = blocks, owner
+        program.pc = 0
+        self.stack.append(program)
 
     def run(self, lines: Sequence[Line]) -> None:
         self.stack = []
-        self.push(lines, NO_POS)
+        self.push(Program(list(lines)), NO_POS)
         while self.stack:
             prog = self.stack[-1]
             if prog.pc >= len(prog.lines):
@@ -208,16 +220,19 @@ class ControlEngine:
         """The compiled form of line pc of the running program, by default
         the running line, as build(line) makes it.
 
-        A line inside a while or repeat block is built once and kept with
-        its program; any other line is built each time it is asked for.
+        A line that can run again (see the module docstring) is built
+        once and kept with its program; any other line is built each time
+        it is asked for.
         """
         prog = self.stack[-1]
-        pc = prog.pc if pc is None else pc
-        op = prog.ops.get(pc)
+        if pc is None:
+            pc = prog.pc
+        ops = prog.ops
+        op = ops.get(pc)
         if op is None:
             op = build(prog.lines[pc])
-            if pc in prog.ops:
-                prog.ops[pc] = op
+            if pc in ops:
+                ops[pc] = op
         return op
 
     # -- directive semantics --
@@ -234,7 +249,7 @@ class ControlEngine:
             return base, compile_expr(args), pos
         return base, None, pos
 
-    def _directive(self, prog: _Program, base: str, arg, pos: Position) -> None:
+    def _directive(self, prog: Program, base: str, arg, pos: Position) -> None:
         if base == "if":
             self._enter_conditional(prog, arg)
         elif base in ("elif", "else"):
@@ -275,7 +290,7 @@ class ControlEngine:
             v if isinstance(v, str) else str(v) for v in values(self.lookup)
         )
 
-    def _enter_conditional(self, prog: _Program, cond) -> None:
+    def _enter_conditional(self, prog: Program, cond) -> None:
         block = prog.blocks[prog.pc]
         if truthy(cond(self.lookup)):
             prog.pc += 1
@@ -290,11 +305,11 @@ class ControlEngine:
         else:
             prog.pc = block.close_idx + 1
 
-    def _while(self, prog: _Program, block: Block) -> None:
+    def _while(self, prog: Program, block: Block) -> None:
         _, cond, pos = self.compiled(self._compile, block.open_idx)
         self._next_pass(prog, block, truthy(cond(self.lookup)), pos)
 
-    def _repeat(self, prog: _Program, count, pos: Position) -> None:
+    def _repeat(self, prog: Program, count, pos: Position) -> None:
         times: Optional[int] = None
         if count is not None:
             times = self._count(count, pos, "repeat count")
@@ -303,14 +318,14 @@ class ControlEngine:
         prog.loops[prog.pc] = [0, times]
         self._next_pass(prog, prog.blocks[prog.pc], times != 0, pos)
 
-    def _until(self, prog: _Program, cond, pos: Position) -> None:
+    def _until(self, prog: Program, cond, pos: Position) -> None:
         block = prog.owner[prog.pc]
         passes, times = prog.loops[block.open_idx]
         done = cond is not None and truthy(cond(self.lookup))
         again = not done and (times is None or passes < times)
         self._next_pass(prog, block, again, pos)
 
-    def _next_pass(self, prog: _Program, block: Block, again: bool, pos):
+    def _next_pass(self, prog: Program, block: Block, again: bool, pos):
         """Start the loop's next pass if again holds, else leave the loop.
 
         Every pass of every loop is counted here, against max_loop.
@@ -326,7 +341,7 @@ class ControlEngine:
             )
         prog.pc = block.open_idx + 1
 
-    def _break(self, prog: _Program, count, pos: Position) -> None:
+    def _break(self, prog: Program, count, pos: Position) -> None:
         level = 1
         if count is not None:
             level = self._count(count, pos, "break level")
@@ -354,5 +369,6 @@ __all__ = [
     "ControlEngine",
     "Limits",
     "PhaseHandler",
+    "Program",
     "build_structure",
 ]

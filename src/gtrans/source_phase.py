@@ -17,17 +17,25 @@ input and each class expansion are framed first, which folds every
 block into the line that opens it.  So a program's brace faults come
 before its directive faults, and a '#while' stored in a class body is
 matched only when the class expands.
+
+A content line that the rewrite covers is turned into a plan: push this
+framed expansion, emit this line (binding its compiled right side if it
+assigns), or drop it.  The plan depends only on the line and the class
+table, so the engine keeps it where it keeps compiled lines, stamped
+with the table's version, and it is rebuilt only when that has moved.
+A kept expansion is the same Program each time, so its lines keep
+their plans and compiled directives too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .classes import ClassTable, expand_body, expand_calls
-from .engine import ControlEngine, Limits
+from .engine import ControlEngine, Limits, Program
 from .errors import EvalError, StructureError
-from .expr import Value, evaluate
+from .expr import Value, compile_expr
 from .lexer import Line, LineKind, Token, TokenKind, make_line
 from .lexer import dotted_name, dotted_name_end
 
@@ -39,6 +47,8 @@ _EMITTED = (
     LineKind.LABEL,
     LineKind.DEST_DIRECTIVE,
 )
+# content lines that the rewrite covers
+_REWRITTEN = (LineKind.PLAIN, LineKind.DATA_EMISSION, LineKind.ASSIGNMENT)
 # lines that may open a brace block
 _BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
 
@@ -53,90 +63,94 @@ class _SourceHandler:
     # -- engine callbacks --
 
     def unknown(self, line: Line, engine: ControlEngine) -> None:
-        # an unrecognized '#' key may name a class used command-style
-        if not self._try_invoke(line, engine):
-            t0 = line.tokens[0]
-            raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
+        # an unrecognized '#' key may name a class used command-style;
+        # its plan pushes the expansion or raises
+        engine.push(self._plan(line)[1], line.pos)
 
     def content(self, line: Line, engine: ControlEngine) -> None:
         kind = line.kind
-        if kind is LineKind.CLASS_DEFINITION:
+        if kind in _REWRITTEN:
+            plan = engine.compiled(self._plan)
+            if plan[0] != self.table.version:  # stale: rebuild it in place
+                plan[:] = self._plan(line)
+            _, program, emitted, bind = plan
+            if program is not None:
+                engine.push(program, line.pos)
+            elif emitted is not None:
+                if bind is not None:
+                    target, rhs = bind
+                    try:
+                        self.env[target] = rhs(self.env.get)
+                    except EvalError:
+                        pass  # left to the second phase
+                self.out.append(emitted)
+        elif kind is LineKind.CLASS_DEFINITION:
             self._define(line)
-            return
-        if kind is LineKind.CLASS_BODY_DELIMITER:
+        elif kind is LineKind.CLASS_BODY_DELIMITER:
             raise StructureError("'{' outside of a class definition", line.pos)
-        if kind is LineKind.SYMBOL_SUBSTITUTION:
+        elif kind is LineKind.SYMBOL_SUBSTITUTION:
             self.table.set_substitution(line.tokens[0].text, line.tokens[2:])
-            return
-        # rewrite once: a plain line whole, the values of a data line,
-        # the right side of an assignment; never a label or an '@' line
-        tokens = line.tokens
-        if kind is LineKind.PLAIN:
-            if self._try_invoke(line, engine):
-                return
+        else:
+            self.out.append(line)  # a label or an '@' line, never rewritten
+
+    # -- plans --
+
+    def _plan(self, line: Line) -> list:
+        """[table version, Program to push, line to emit, (name, compiled
+        right side) to bind], None where absent; with neither a program
+        nor a line, the line is dropped.
+
+        A plain or '#' line may invoke a class; otherwise the line is
+        rewritten once (a plain line whole, the values of a data line,
+        the right side of an assignment) and dispatched by its new shape.
+        Replacements advance one step per scan, so the rewrite is not
+        repeated; class resolution is, as that is the point of substituting.
+        """
+        version, kind, tokens = self.table.version, line.kind, line.tokens
+        if kind is LineKind.PLAIN or kind is LineKind.SOURCE_DIRECTIVE:
+            program = self._invoke(line)
+            if program is not None:
+                return [version, program, None, None]
+            if kind is LineKind.SOURCE_DIRECTIVE:
+                t0 = tokens[0]
+                raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
             start = 0
         elif kind is LineKind.DATA_EMISSION:
             start = 1
-        elif kind is LineKind.ASSIGNMENT:
+        else:  # an assignment
             start = dotted_name_end(tokens) + 1
-        else:
-            self._emit(line, False)
-            return
         part = list(tokens[start:])
         expanded = expand_calls(part, self.table, self.limits.max_depth)
         substituted = self.table.substitute(expanded)
         final = expanded if substituted is None else substituted
-        if final == part:
-            self._emit(line, kind is LineKind.ASSIGNMENT)
-        else:
-            self._retry(make_line([*tokens[:start], *final], line.pos), engine)
+        if final != part:
+            line = make_line([*tokens[:start], *final], line.pos)
+            kind, tokens = line.kind, line.tokens
+            program = self._invoke(line) if kind is LineKind.PLAIN else None
+            if program is not None or kind is LineKind.BLANK:
+                return [version, program, None, None]
+            if kind not in _EMITTED:
+                raise StructureError(
+                    f"substitution produced a {kind.value} line", line.pos
+                )
+        if kind is not LineKind.ASSIGNMENT:
+            return [version, None, line, None]
+        eq = dotted_name_end(tokens)
+        rhs = compile_expr(tokens[eq + 1 :])
+        return [version, None, line, (dotted_name(tokens[:eq]), rhs)]
 
-    # -- line shapes --
-
-    def _try_invoke(self, line: Line, engine: ControlEngine) -> bool:
+    def _invoke(self, line: Line) -> Optional[Program]:
+        """The framed expansion of a command-style invocation, or None."""
         # class names are identifiers, so no other token can match one
         t0 = line.tokens[0]
         if not self.table.has_name(t0.text):
-            return False
+            return None
         resolved = self.table.resolve(t0.text, line.tokens[1:])
         if resolved is None:
-            return False
-        cls, binding = resolved
-        pos = line.pos
-        expansion = []
-        for toks in expand_body(cls, binding):
-            expansion.append(make_line(toks, toks[0].pos if toks else pos))
-        engine.push(_frame(expansion), pos)
-        return True
-
-    def _retry(self, line: Line, engine: ControlEngine) -> None:
-        """Dispatch a line that a rewrite just changed, by its new shape.
-
-        The rewrite itself is not repeated: replacements advance one
-        step per scan.  Class resolution does run again, since that is
-        the whole point of substituting first.
-        """
-        kind = line.kind
-        if kind is LineKind.PLAIN and self._try_invoke(line, engine):
-            return
-        if kind in _EMITTED:
-            self._emit(line, kind is LineKind.ASSIGNMENT)
-        elif kind is not LineKind.BLANK:
-            raise StructureError(
-                f"substitution produced a {kind.value} line", line.pos
-            )
-
-    def _emit(self, line: Line, bind: bool) -> None:
-        """Append line to the stream; bind it first if it assigns."""
-        if bind:
-            eq = dotted_name_end(line.tokens)
-            try:
-                value = evaluate(line.tokens[eq + 1 :], self.env.get)
-            except EvalError:
-                pass  # not computable yet; the second phase will evaluate it
-            else:
-                self.env[dotted_name(line.tokens[:eq])] = value
-        self.out.append(line)
+            return None
+        body = expand_body(*resolved)
+        lines = [make_line(t, t[0].pos if t else line.pos) for t in body]
+        return Program(_frame(lines))
 
     def _define(self, line: Line) -> None:
         """Register the class a definition line spells."""

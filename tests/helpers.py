@@ -281,16 +281,100 @@ def gen_loop_program(rng, max_lines=12):
     return "\n".join(lines) + "\n"
 
 
+# definitions made inside loops; K is replaced by a drawn number
+_LOOP_DEFS = [
+    "class op x { db x }",
+    "class op x { db x + K }",
+    "class op x , .. r\n{\ndb x\nop r\n}",
+    "class op x , .. r\n{\n#if ( x ) % 2 = 0\ndb x\n#endif\nop r\n}",
+    "class op a + b { db a , b } plus, alt",
+    "class alt x { db K , x }",
+    "class E ( v ) { v * K }",
+    "class E ( v ) { ( v ) + K }",
+    "class E ( v , w ) { v - w }",
+    "class E ( v ) { E ( v ) }",
+    "class G ( v ) { E ( v ) + 1 } H",
+    "a := b", "b := c", "c := K", "a := E ( 1 )", "op := alt", "u := db",
+    "a := a + 1", "E := G",
+]
+_LOOP_BASE = [
+    "class op .. r { db 99 }", "class E ( v ) { v }", "class alt x { db x }",
+]
+# looped uses: plain, data and assignment lines, invocations of each shape
+_LOOP_USES = [
+    "op V", "op V , 2 , 3", "op 1 , V , 2 , 3", "op 1 + V", "alt V",
+    "plus V", "db H ( V )", "db E ( V )", "db a , b , c", "db G ( E ( V ) )",
+    "xK = E ( V ) + a", "xK = a", "yK = c", "u V", "db op", "op E ( V )",
+    "#print a , b , c",
+]
+
+
+def gen_redefine_program(rng, max_lines=14):
+    """Classes, aliases and substitutions defined or redefined inside
+    '#while' and '#repeat' loops, often under an '#if' on the counter,
+    between recursive, variadic and embedded invocations in looped plain,
+    data and assignment lines."""
+    lines = []
+
+    def fill(text, counter):
+        k = str(rng.randrange(1, 9))
+        return text.replace("K", k).replace("V", rng.choice([counter, k]))
+
+    def body(depth, counter, budget):
+        for _ in range(rng.randrange(2, 6)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            roll = rng.random()
+            if roll < 0.35:
+                text = fill(rng.choice(_LOOP_DEFS), counter)
+                if rng.random() < 0.6:
+                    at = rng.randrange(3)
+                    lines.extend(["#if %s = %d" % (counter, at), text, "#endif"])
+                else:
+                    lines.append(text)
+            elif roll < 0.9 or depth >= 2:
+                lines.append(fill(rng.choice(_LOOP_USES), counter))
+            else:
+                loop(depth + 1, budget)
+
+    def loop(depth, budget):
+        v = "i%d" % depth
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.5:
+            lines.extend(["%s = 0" % v, "#while %s < %d" % (v, n)])
+            body(depth, v, budget)
+            lines.extend(["%s = %s + 1" % (v, v), "#endw"])
+        else:
+            lines.extend(["%s = 0" % v, "#repeat %d" % n])
+            body(depth, v, budget)
+            lines.extend(["%s = %s + 1" % (v, v), "#until"])
+
+    if rng.random() < 0.8:
+        lines += ["a = 1", "b = 2", "c = 3"]
+    if rng.random() < 0.7:  # oldest definitions, which catch what is left
+        lines += _LOOP_BASE
+    for _ in range(rng.randrange(0, 3)):
+        lines.append(fill(rng.choice(_LOOP_DEFS), "1"))
+    loop(0, [max_lines])
+    if rng.random() < 0.5:
+        lines.append(fill(rng.choice(_LOOP_USES), "1"))
+    return "\n".join(lines) + "\n"
+
+
 def gen_programs(seed, count):
     """count seeded programs: brace-heavy, '#'/'@' control flow, class
-    overloads and nested loops with breaks in turn."""
+    overloads, nested loops with breaks, and definitions inside loops in
+    turn."""
     rng = random.Random(seed)
     for n in range(count):
-        if n % 4 == 1:
+        if n % 5 == 1:
             yield gen_directive_program(rng, rng.choice("#@"))
-        elif n % 4 == 2:
+        elif n % 5 == 2:
             yield gen_class_program(rng)
-        elif n % 4 == 3:
+        elif n % 5 == 3:
             yield gen_loop_program(rng)
+        elif n % 5 == 4:
+            yield gen_redefine_program(rng)
         else:
             yield gen_brace_program(rng)

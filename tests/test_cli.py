@@ -1,5 +1,6 @@
 """Driver tests: argument parsing, file plumbing, formats, exit codes."""
 
+import gc
 import os
 import re
 import subprocess
@@ -265,6 +266,33 @@ def test_print_order_crosses_phases(tmp_path):
     source = '@print "second"\n#print "first"\ndb 0\n'
     report, _ = run_files(tmp_path, source)
     assert report.diagnostics == ["first", "second"]
+
+
+def test_translate_leaves_no_cyclic_garbage(tmp_path):
+    # whatever a translation keeps (expansions pushed again, compiled
+    # lines) is freed by reference counting alone, so no collector pass
+    # is owed for it after translate() returns
+    rules = (
+        "class put x { db x }\n"
+        "class INC ( v ) { v + 1 }\n"
+        "class push x { db x }\n"
+        "class push x , .. rest\n{\n#if (x) % 4 = 0\ndb x\n#endif\n"
+        "push rest\n}\n"
+    )
+    source = (
+        "top :\ni = 0\n#while i < 20\nput i\ndb INC(i), end\ny = top + i\n"
+        "push i , 4 , 6 , i + 8\n#if i = 10\nclass put x { dw x }\n"
+        "put := push\n#endif\ni = i + 1\n#endw\n@repeat 3\ndb 1\n@until\n"
+        "end :\n"
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        report, _ = run_files(tmp_path, source, rules=[rules])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.status == "ok", report.diagnostics
 
 
 def test_print_before_a_run_error_is_kept(tmp_path):

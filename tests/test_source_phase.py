@@ -660,3 +660,122 @@ def test_loop_in_class_body_follows_each_binding():
     )
     assert rendered(src).split("\n").count("db 20 + k") == 6
     assert rendered(src).split("\n").count("db 10 + k") == 4
+
+
+# -- plans kept across loop passes -------------------------------------------
+
+# a command-style class, an embedded call and a 4-element variadic push,
+# run N times by one loop
+_LOOPED = (
+    "class op a + b { db a, b }\n"
+    "class INC ( v ) { v + 1 }\n"
+    "class push x { db x }\n"
+    "class push x , .. rest\n{\n#if (x) % 4 = 0\ndb x\n#endif\npush rest\n}\n"
+    "i = 0\n#while i < {n}\n{define}op i + 1\ndb INC(i)\ny = INC(i)\n"
+    "push i , 4 , 6 , i + 8\ni = i + 1\n#endw\n"
+)
+
+
+def _counted_run(monkeypatch, src):
+    """(resolve calls, build_structure calls) of one source phase run."""
+    import gtrans.engine
+
+    calls = {"resolve": 0, "build_structure": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ClassTable, "resolve", counting("resolve", ClassTable.resolve)
+    )
+    monkeypatch.setattr(
+        gtrans.engine,
+        "build_structure",
+        counting("build_structure", gtrans.engine.build_structure),
+    )
+    stream, _, env, _ = run(src)
+    monkeypatch.undo()
+    return calls["resolve"], calls["build_structure"], len(stream), env
+
+
+def test_looped_lines_are_planned_once(monkeypatch):
+    counts = []
+    for n in (10, 200):
+        src = _LOOPED.replace("{n}", str(n)).replace("{define}", "")
+        resolves, structures, emitted, env = _counted_run(monkeypatch, src)
+        assert env["i"] == n and env["y"] == n
+        assert emitted > 6 * n  # every pass still emits its lines
+        counts.append((resolves, structures))
+    assert counts[0] == counts[1]
+
+
+def test_a_definition_in_the_loop_replans_each_pass(monkeypatch):
+    counts = []
+    for n in (10, 200):
+        src = _LOOPED.replace("{n}", str(n))
+        src = src.replace("{define}", "class other x { db x }\n")
+        resolves, structures, _, _ = _counted_run(monkeypatch, src)
+        counts.append((resolves, structures))
+    (r10, s10), (r200, s200) = counts
+    assert r200 > 10 * r10 and s200 > 10 * s10
+
+
+def test_redefinition_in_a_loop_takes_effect_on_the_next_pass():
+    src = (
+        "class f x { db x }\ni = 0\n#while i < 4\nf i\n#if i = 1\n"
+        "class f x { db x + 100 }\n#endif\ni = i + 1\n#endw\n"
+    )
+    assert rendered(src) == (
+        "i = 0\ndb i\ni = i + 1\ndb i\ni = i + 1\n"
+        "db i + 100\ni = i + 1\ndb i + 100\ni = i + 1"
+    )
+
+
+def test_substitutions_set_in_a_loop_advance_one_step_per_scan():
+    src = (
+        "c = 7\ni = 0\n#while i < 4\ndb a, b\nx = a\n#if i = 0\na := b\n"
+        "#endif\n#if i = 1\nb := c\n#endif\ni = i + 1\n#endw\n"
+    )
+    stream, _, env, _ = run(src)
+    assert render(stream) == (
+        "c = 7\ni = 0\ndb a , b\nx = a\ni = i + 1\ndb b , b\nx = b\n"
+        "i = i + 1\ndb b , c\nx = b\ni = i + 1\ndb b , c\nx = b\ni = i + 1"
+    )
+    assert env == {"c": 7, "i": 4}  # a and b never had a value to bind
+
+
+def test_fault_in_a_kept_expansion_names_its_body_line():
+    src = "class p\n{\n#print 10 / (3 - i)\n}\ni = 0\n#while i < 5\np\n"
+    src += "i = i + 1\n#endw\n"
+    diags = []
+    with pytest.raises(EvalError, match="division by zero") as info:
+        run_source_phase(
+            tokenize_lines(src, "t.s"), {}, ClassTable(), diags, Limits()
+        )
+    assert tuple(info.value.pos) == ("t.s", 3, 11)
+    assert diags == ["3", "5", "10"]
+
+
+def test_limits_hold_inside_a_kept_recursive_expansion():
+    depth = (
+        "class down n { db n }\nclass down n, .. rest\n{\ndb n\ndown rest\n}\n"
+        "i = 0\n#while i < 5\n#if i = 0\ndown 1\n#elif i = 1\ndown 1, 2\n"
+        "#else\ndown 1, 2, 3, 4\n#endif\ni = i + 1\n#endw\n"
+    )
+    env = {}
+    with pytest.raises(LimitError, match="expansion depth exceeds 3") as info:
+        run(depth, env=env, limits=Limits(max_depth=3))
+    assert tuple(info.value.pos) == ("t.s", 5, 1) and env["i"] == 2
+    loop = (
+        "class spin n { db n }\nclass spin n, .. rest\n{\nk = 0\n"
+        "#while k < n\nk = k + 1\n#endw\nspin rest\n}\n"
+        "i = 0\n#while i < 5\nspin i, 3 * i, 1\ni = i + 1\n#endw\n"
+    )
+    env = {}
+    with pytest.raises(LimitError, match=r"iteration limit exceeded \(6\)") as info:
+        run(loop, env=env, limits=Limits(max_loop=6))
+    assert tuple(info.value.pos) == ("t.s", 5, 1) and env == {"i": 3, "k": 6}
