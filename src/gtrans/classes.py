@@ -390,10 +390,8 @@ def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> lis
 
 
 __all__ = [
-    "Binding",
     "ClassDef",
     "ClassTable",
-    "Element",
     "Param",
     "Sep",
     "expand_body",

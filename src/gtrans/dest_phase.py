@@ -1,9 +1,12 @@
 """Second phase: '@' directives, labels, and byte emission.
 
-The intermediate stream is executed once.  Every expression sees the
-symbols assigned so far, then the labels defined so far.  Conditions,
-assignment right sides and reserve counts never look forward, so each
-label's offset and each line's size are known when the line runs.
+The intermediate stream is executed once.  The engine hands every line
+that is not one of its directives to compile, its one hook, which turns
+it into a closure that runs it; an '@' key the engine does not know is
+an error there.  Every expression sees the symbols assigned so far, then
+the labels defined so far.  Conditions, assignment right sides and
+reserve counts never look forward, so each label's offset and each
+line's size are known when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
 evaluation fails is written as zero units and recorded as a fixup: where
@@ -78,7 +81,7 @@ def _guard_name(args) -> Optional[str]:
     return None
 
 
-def _collect_guards(lines, blocks_by_open):
+def _collect_guards(lines, structure):
     """All guarded regions as (name, open_idx, close_idx)."""
     regions = []
     for idx, line in enumerate(lines):
@@ -89,7 +92,7 @@ def _collect_guards(lines, blocks_by_open):
         if name is None:
             continue
         if base == "if":
-            block = blocks_by_open[idx]
+            block = structure[idx]
             if block.arms or block.else_idx is not None:
                 raise StructureError(
                     "a guarded block cannot take elif or else", line.pos
@@ -108,8 +111,8 @@ def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
     Returns (visible line indices, included guard names).  The guard
     lines of an included region are not visible: only its body is.
     """
-    blocks_by_open, _ = build_structure(lines, LineKind.DEST_DIRECTIVE)
-    regions = _collect_guards(lines, blocks_by_open)
+    structure = build_structure(lines, LineKind.DEST_DIRECTIVE)
+    regions = _collect_guards(lines, structure)
     if not regions:
         return list(range(len(lines))), set()
     count = {name: 0 for name, _, _ in regions}
@@ -168,17 +171,9 @@ class _DestHandler:
         value = self.env.get(name)
         return self.labels.get(name) if value is None else value
 
-    def unknown(self, line: Line, engine) -> None:
-        raise StructureError(
-            f"unknown directive '{line.tokens[0].text}'", line.tokens[0].pos
-        )
+    # -- the engine's compile hook: a line into a closure that runs it --
 
-    def content(self, line: Line, engine) -> None:
-        engine.compiled(self._compile)()
-
-    # -- compiling a line into a closure that runs it --
-
-    def _compile(self, line: Line):
+    def compile(self, line: Line):
         kind = line.kind
         if kind is LineKind.ASSIGNMENT:
             return self._assignment(line)
@@ -189,6 +184,9 @@ class _DestHandler:
             return self._data_line(line, line.tokens)
         if kind is LineKind.PLAIN:
             return self._labeled_data(line)
+        if kind is LineKind.DEST_DIRECTIVE:
+            t0 = line.tokens[0]
+            raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
         raise StructureError(
             f"a {kind.value} line has no meaning in the intermediate stream",
             line.pos,
@@ -389,9 +387,8 @@ def run_dest_phase(
     visible_idx, _ = resolve_guarded_regions(lines)
     image = EmitImage(endian=endian, strict=strict)
     handler = _DestHandler(dict(defines or {}), image, diagnostics, limits)
-    engine = ControlEngine(
-        LineKind.DEST_DIRECTIVE, handler, handler.lookup, diagnostics, limits
-    )
+    engine = ControlEngine(LineKind.DEST_DIRECTIVE, handler.compile,
+                           handler.lookup, diagnostics, limits)
     try:
         engine.run([lines[k] for k in visible_idx])
     except UserAbort:
@@ -403,7 +400,6 @@ def run_dest_phase(
 
 __all__ = [
     "EmitImage",
-    "Span",
     "resolve_guarded_regions",
     "run_dest_phase",
 ]

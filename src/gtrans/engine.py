@@ -4,42 +4,45 @@ One interpreter executes the structural directives (if/elif/else/endif,
 while/endw, repeat/until, break) plus print and error, whatever the
 prefix character.  It evaluates their conditions, counts and values
 itself, through the lookup the phase hands it, and appends print and
-error reports to the phase's diagnostics list.  A phase supplies only
-what is its own, through a handler: what a content line means and what
-an unknown directive does.  The source phase runs this engine over '#'
-lines, the destination phase over '@' lines; a class expansion is pushed
-as a nested program on an explicit stack, so expansion depth never
-touches the Python recursion limit and a break cannot cross an
-expansion boundary.
+error reports to the phase's diagnostics list.  A phase meets the engine
+at one point, its compile hook: compile_line(line) turns any other line,
+including a directive key the engine does not know, into an op.  Running
+an op does what the line means to the phase and returns the Program to
+push next, or None; the engine does the push, so no phase holds the
+engine.  The source phase runs this engine over '#' lines, the
+destination phase over '@' lines; a class expansion is pushed as a nested
+program on an explicit stack, so expansion depth never touches the Python
+recursion limit and a break cannot cross an expansion boundary.
 
 The engine is phase-neutral and knows no class bodies.  A program
 reaches it with each body already folded into the line that defines it,
-so every line is a directive of the engine's prefix, a blank, or content
-for the handler.
+so every line is a directive of the engine's prefix, a blank, or a line
+for the phase.
 
 Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
 '#endif' or a bare '#repeat ... #until' fails fast even when execution
-would never reach it.  Loop nesting comes from that structure too: each
-block and each break line knows its innermost loop, so a running loop
+would never reach it.  build_structure returns one map from each
+structural line (opener, arm, else, closer, break) to its block, a
+break's block being the innermost loop around it, so a running loop
 keeps only its pass counter.  A loop's opening line runs once, on entry;
 its closing line ('#endw' re-testing the while condition, or '#until')
 decides the next pass.
 
-A line is compiled when it runs: a directive to its key and its compiled
-condition, count or values, a content line to whatever the phase builds
-for it (ControlEngine.compiled).  Compiled forms are kept in a
+A line is compiled when it runs, by _compiled: one of the engine's
+directives to its (key, compiled argument, position) tuple, any other
+line to the op the phase's hook builds.  Compiled forms are kept in a
 per-program cache by pc for the lines that can run again: those inside
-a while or repeat block, whose ranges build_structure gives, and every
-line of a program pushed by a line that keeps its own compiled form,
-since a phase may push that same Program again.  Any other line is
-compiled each time it runs and then dropped, since most lines run once.
+a while or repeat block, and every line of a program pushed by a line
+that keeps its own compiled form, since its op may push that same
+Program again.  Any other line is compiled each time it runs and then
+dropped, since most lines run once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     EvalError,
@@ -69,27 +72,21 @@ class Block:
     outer: Optional[Block] = None  # the innermost loop around this block
 
 
-class PhaseHandler(Protocol):
-    def content(self, line: Line, engine: "ControlEngine") -> None:
-        """Handle a non-directive, non-blank line."""
-
-    def unknown(self, line: Line, engine: "ControlEngine") -> None:
-        """Handle a directive key the engine does not know."""
-
-
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
+# the directives the engine runs itself
+_KEYS = {*_OPENERS, *_OPENERS.values(), "elif", "else", "break", "print",
+         "error"}
 
 
-def build_structure(lines, directive_kind: LineKind):
+def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
     """Match every structural directive with its closing line.
 
-    Returns (blocks_by_open, owner) where owner maps each elif, else and
-    closing line back to its block, and each break line to the innermost
-    loop around it.  Only lines of directive_kind take part; every other
-    line is content to the engine.
+    Returns a map from each opening, elif, else and closing line to its
+    block, and from each break line to the innermost loop around it.
+    Only lines of directive_kind take part; every other line is content
+    to the engine.
     """
-    blocks_by_open: dict[int, Block] = {}
-    owner: dict[int, Block] = {}
+    structure: dict[int, Block] = {}
     stack: list[Block] = []
     loop: Optional[Block] = None
     for idx, line in enumerate(lines):
@@ -104,21 +101,21 @@ def build_structure(lines, directive_kind: LineKind):
                 loop = stack[-1]
         elif base == "break":
             if loop is not None:
-                owner[idx] = loop
+                structure[idx] = loop
         elif base == "elif":
             if not stack or stack[-1].kind != "if":
                 raise StructureError(f"'{name}' without a matching if", pos)
             if stack[-1].else_idx is not None:
                 raise StructureError(f"'{name}' after else", pos)
             stack[-1].arms.append(idx)
-            owner[idx] = stack[-1]
+            structure[idx] = stack[-1]
         elif base == "else":
             if not stack or stack[-1].kind != "if":
                 raise StructureError(f"'{name}' without a matching if", pos)
             if stack[-1].else_idx is not None:
                 raise StructureError(f"duplicate '{name}'", pos)
             stack[-1].else_idx = idx
-            owner[idx] = stack[-1]
+            structure[idx] = stack[-1]
         elif base in ("endif", "endw", "until"):
             want = {"endif": "if", "endw": "while", "until": "repeat"}[base]
             if not stack or stack[-1].kind != want:
@@ -131,8 +128,7 @@ def build_structure(lines, directive_kind: LineKind):
                     head[0].pos,
                 )
             block.close_idx = idx
-            blocks_by_open[block.open_idx] = block
-            owner[idx] = block
+            structure[block.open_idx] = structure[idx] = block
             loop = block.outer
     if stack:
         block = stack[-1]
@@ -140,7 +136,7 @@ def build_structure(lines, directive_kind: LineKind):
         raise StructureError(
             f"'{name}' was never closed", lines[block.open_idx].pos
         )
-    return blocks_by_open, owner
+    return structure
 
 
 @dataclass(eq=False, slots=True)
@@ -150,8 +146,7 @@ class Program:
     it again reuses both; only one push of it runs at a time."""
 
     lines: list[Line]
-    blocks: Optional[dict[int, Block]] = None
-    owner: Optional[dict[int, Block]] = None
+    structure: Optional[dict[int, Block]] = None
     # compiled forms of the lines that keep one, by pc; None until the
     # line first runs
     ops: Optional[dict[int, object]] = None
@@ -166,13 +161,13 @@ class ControlEngine:
     def __init__(
         self,
         directive_kind: LineKind,
-        handler: PhaseHandler,
+        compile_line: Callable[[Line], Callable[[], Optional[Program]]],
         lookup: Lookup,
         diagnostics: list[str],
         limits: Limits,
     ) -> None:
         self.directive_kind = directive_kind
-        self.handler = handler
+        self.compile_line = compile_line
         self.lookup = lookup
         self.diagnostics = diagnostics
         self.limits = limits
@@ -186,17 +181,18 @@ class ControlEngine:
             raise LimitError(
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )
-        if program.blocks is None:  # its first push
+        if program.structure is None:  # its first push
             lines = program.lines
-            blocks, owner = build_structure(lines, self.directive_kind)
+            structure = build_structure(lines, self.directive_kind)
             top = self.stack[-1] if self.stack else None
             if top is not None and top.pc in top.ops:
                 kept = [range(len(lines))]  # pushed by a kept line: reruns
             else:
-                kept = [range(b.open_idx, b.close_idx + 1)
-                        for b in blocks.values() if b.kind != "if"]
+                kept = [range(idx, b.close_idx + 1)
+                        for idx, b in structure.items()
+                        if idx == b.open_idx and b.kind != "if"]
             program.ops = {pc: None for pcs in kept for pc in pcs}
-            program.blocks, program.owner = blocks, owner
+            program.structure = structure
         program.pc = 0
         self.stack.append(program)
 
@@ -205,42 +201,48 @@ class ControlEngine:
         self.push(Program(list(lines)), NO_POS)
         while self.stack:
             prog = self.stack[-1]
-            if prog.pc >= len(prog.lines):
+            pc = prog.pc
+            if pc >= len(prog.lines):
                 self.stack.pop()
                 continue
-            line = prog.lines[prog.pc]
-            if line.kind is self.directive_kind:
-                self._directive(prog, *self.compiled(self._compile))
-            else:
-                if line.kind is not LineKind.BLANK:
-                    self.handler.content(line, self)
-                prog.pc += 1
+            line = prog.lines[pc]
+            if line.kind is LineKind.BLANK:
+                prog.pc = pc + 1
+                continue
+            op = self._compiled(prog, pc)
+            if type(op) is tuple:
+                self._directive(prog, *op)
+                continue
+            program = op()
+            if program is not None:
+                self.push(program, line.pos)
+            prog.pc = pc + 1
 
-    def compiled(self, build, pc: Optional[int] = None):
-        """The compiled form of line pc of the running program, by default
-        the running line, as build(line) makes it.
-
-        A line that can run again (see the module docstring) is built
-        once and kept with its program; any other line is built each time
-        it is asked for.
+    def _compiled(self, prog: Program, pc: int):
+        """The compiled form of line pc of prog.  A line that can run
+        again (see the module docstring) is compiled once and kept with
+        its program; any other line is compiled each time it is asked for.
         """
-        prog = self.stack[-1]
-        if pc is None:
-            pc = prog.pc
         ops = prog.ops
         op = ops.get(pc)
         if op is None:
-            op = build(prog.lines[pc])
+            line = prog.lines[pc]
+            if line.kind is self.directive_kind:
+                op = self._compile_directive(line)
+            else:
+                op = self.compile_line(line)
             if pc in ops:
                 ops[pc] = op
         return op
 
-    # -- directive semantics --
-
-    def _compile(self, line: Line) -> tuple:
-        """(key without its prefix, compiled argument or None, position)."""
+    def _compile_directive(self, line: Line):
+        """One of the engine's directives as (key without its prefix,
+        compiled argument or None, position); a key it does not know as
+        the op the phase compiles the line to, like any other line."""
         key, args = line.tokens[0], line.tokens[1:]
         base, pos = key.text[1:], key.pos
+        if base not in _KEYS:
+            return self.compile_line(line)
         if base in ("print", "error"):
             return base, compile_values(args), pos
         if base in ("if", "elif", "while") and not args:
@@ -249,19 +251,21 @@ class ControlEngine:
             return base, compile_expr(args), pos
         return base, None, pos
 
+    # -- directive semantics --
+
     def _directive(self, prog: Program, base: str, arg, pos: Position) -> None:
         if base == "if":
             self._enter_conditional(prog, arg)
         elif base in ("elif", "else"):
             # reached by falling out of the arm that ran
-            prog.pc = prog.owner[prog.pc].close_idx + 1
+            prog.pc = prog.structure[prog.pc].close_idx + 1
         elif base == "endif":
             prog.pc += 1
         elif base == "while":
             prog.loops[prog.pc] = [0, None]
-            self._while(prog, prog.blocks[prog.pc])
+            self._while(prog, prog.structure[prog.pc])
         elif base == "endw":
-            self._while(prog, prog.owner[prog.pc])
+            self._while(prog, prog.structure[prog.pc])
         elif base == "repeat":
             self._repeat(prog, arg, pos)
         elif base == "until":
@@ -271,13 +275,10 @@ class ControlEngine:
         elif base == "print":
             self.diagnostics.append(self._format(arg))
             prog.pc += 1
-        elif base == "error":
+        else:  # error
             message = self._format(arg)
             self.diagnostics.append(f"{pos.file}:{pos.line}: {message}")
             raise UserAbort(message, pos)
-        else:
-            self.handler.unknown(prog.lines[prog.pc], self)
-            prog.pc += 1
 
     def _count(self, count, pos: Position, what: str) -> int:
         value = count(self.lookup)
@@ -291,12 +292,12 @@ class ControlEngine:
         )
 
     def _enter_conditional(self, prog: Program, cond) -> None:
-        block = prog.blocks[prog.pc]
+        block = prog.structure[prog.pc]
         if truthy(cond(self.lookup)):
             prog.pc += 1
             return
         for arm_idx in block.arms:
-            _, arm_cond, _ = self.compiled(self._compile, arm_idx)
+            _, arm_cond, _ = self._compiled(prog, arm_idx)
             if truthy(arm_cond(self.lookup)):
                 prog.pc = arm_idx + 1
                 return
@@ -306,7 +307,7 @@ class ControlEngine:
             prog.pc = block.close_idx + 1
 
     def _while(self, prog: Program, block: Block) -> None:
-        _, cond, pos = self.compiled(self._compile, block.open_idx)
+        _, cond, pos = self._compiled(prog, block.open_idx)
         self._next_pass(prog, block, truthy(cond(self.lookup)), pos)
 
     def _repeat(self, prog: Program, count, pos: Position) -> None:
@@ -316,10 +317,10 @@ class ControlEngine:
             if times < 0:
                 raise EvalError("negative repeat count", pos)
         prog.loops[prog.pc] = [0, times]
-        self._next_pass(prog, prog.blocks[prog.pc], times != 0, pos)
+        self._next_pass(prog, prog.structure[prog.pc], times != 0, pos)
 
     def _until(self, prog: Program, cond, pos: Position) -> None:
-        block = prog.owner[prog.pc]
+        block = prog.structure[prog.pc]
         passes, times = prog.loops[block.open_idx]
         done = cond is not None and truthy(cond(self.lookup))
         again = not done and (times is None or passes < times)
@@ -345,7 +346,7 @@ class ControlEngine:
         level = 1
         if count is not None:
             level = self._count(count, pos, "break level")
-        loop = prog.owner.get(prog.pc)
+        loop = prog.structure.get(prog.pc)
         if loop is None:
             raise StructureError("break outside of a loop", pos)
         if level < 0:
@@ -365,10 +366,8 @@ class ControlEngine:
 
 
 __all__ = [
-    "Block",
     "ControlEngine",
     "Limits",
-    "PhaseHandler",
     "Program",
     "build_structure",
 ]

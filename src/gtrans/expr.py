@@ -87,7 +87,10 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def _raise(exc: Exception):
-    raise exc
+    try:
+        raise exc
+    finally:
+        del exc  # the traceback holds this frame: break the cycle
 
 
 # operators on two integers: (a, b, position of the operator) -> value;
@@ -347,12 +350,9 @@ def compile_values(tokens) -> Callable[[Lookup], list[Value]]:
 
 
 __all__ = [
-    "Expr",
     "INT64_MAX",
     "INT64_MIN",
     "Lookup",
-    "MAX_NESTING",
-    "PRECEDENCE",
     "Value",
     "compile_expr",
     "compile_values",

@@ -18,18 +18,20 @@ block into the line that opens it.  So a program's brace faults come
 before its directive faults, and a '#while' stored in a class body is
 matched only when the class expands.
 
-A content line that the rewrite covers is turned into a plan: push this
-framed expansion, emit this line (binding its compiled right side if it
-assigns), or drop it.  The plan depends only on the line and the class
-table, so the engine keeps it where it keeps compiled lines, stamped
-with the table's version, and it is rebuilt only when that has moved.
-A kept expansion is the same Program each time, so its lines keep
-their plans and compiled directives too.
+The engine hands each other line to compile, its one hook, which picks
+an op by the line's kind, once.  A line the rewrite covers, and a '#' key
+the engine does not know, gets a plan: push this framed expansion, emit
+this line (binding its compiled right side if it assigns), or drop it.
+The plan depends only on the line and the class table, so its op holds
+it stamped with the table's version and plans again only when that has
+moved; the engine keeps the op where it keeps compiled lines.  A kept
+expansion is the same Program each time, so its lines keep their ops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .classes import ClassTable, expand_body, expand_calls
@@ -47,8 +49,10 @@ _EMITTED = (
     LineKind.LABEL,
     LineKind.DEST_DIRECTIVE,
 )
-# content lines that the rewrite covers
-_REWRITTEN = (LineKind.PLAIN, LineKind.DATA_EMISSION, LineKind.ASSIGNMENT)
+# lines run by a plan: those the rewrite covers, and '#' keys the engine
+# does not know, which may name a class
+_PLANNED = (LineKind.PLAIN, LineKind.DATA_EMISSION, LineKind.ASSIGNMENT,
+            LineKind.SOURCE_DIRECTIVE)
 # lines that may open a brace block
 _BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
 
@@ -60,44 +64,44 @@ class _SourceHandler:
         self.out: list[Line] = out
         self.limits: Limits = limits
 
-    # -- engine callbacks --
+    # -- the engine's compile hook --
 
-    def unknown(self, line: Line, engine: ControlEngine) -> None:
-        # an unrecognized '#' key may name a class used command-style;
-        # its plan pushes the expansion or raises
-        engine.push(self._plan(line)[1], line.pos)
-
-    def content(self, line: Line, engine: ControlEngine) -> None:
+    def compile(self, line: Line):
+        """The op that runs line: see the module docstring."""
         kind = line.kind
-        if kind in _REWRITTEN:
-            plan = engine.compiled(self._plan)
-            if plan[0] != self.table.version:  # stale: rebuild it in place
-                plan[:] = self._plan(line)
-            _, program, emitted, bind = plan
-            if program is not None:
-                engine.push(program, line.pos)
-            elif emitted is not None:
-                if bind is not None:
-                    target, rhs = bind
-                    try:
-                        self.env[target] = rhs(self.env.get)
-                    except EvalError:
-                        pass  # left to the second phase
-                self.out.append(emitted)
-        elif kind is LineKind.CLASS_DEFINITION:
-            self._define(line)
-        elif kind is LineKind.CLASS_BODY_DELIMITER:
+        if kind in _PLANNED:
+            plan = self._plan(line)
+
+            def run() -> Optional[Program]:
+                nonlocal plan
+                if plan[0] != self.table.version:  # stale: plan it again
+                    plan = self._plan(line)
+                _, program, emitted, bind = plan
+                if emitted is not None:
+                    if bind is not None:
+                        target, rhs = bind
+                        try:
+                            self.env[target] = rhs(self.env.get)
+                        except EvalError:
+                            pass  # left to the second phase
+                    self.out.append(emitted)
+                return program
+
+            return run
+        if kind is LineKind.CLASS_DEFINITION:
+            return partial(self._define, line)
+        if kind is LineKind.CLASS_BODY_DELIMITER:
             raise StructureError("'{' outside of a class definition", line.pos)
-        elif kind is LineKind.SYMBOL_SUBSTITUTION:
-            self.table.set_substitution(line.tokens[0].text, line.tokens[2:])
-        else:
-            self.out.append(line)  # a label or an '@' line, never rewritten
+        if kind is LineKind.SYMBOL_SUBSTITUTION:
+            name, tokens = line.tokens[0].text, line.tokens[2:]
+            return partial(self.table.set_substitution, name, tokens)
+        return partial(self.out.append, line)  # a label or an '@' line
 
     # -- plans --
 
-    def _plan(self, line: Line) -> list:
-        """[table version, Program to push, line to emit, (name, compiled
-        right side) to bind], None where absent; with neither a program
+    def _plan(self, line: Line) -> tuple:
+        """(table version, Program to push, line to emit, (name, compiled
+        right side) to bind), None where absent; with neither a program
         nor a line, the line is dropped.
 
         A plain or '#' line may invoke a class; otherwise the line is
@@ -110,7 +114,7 @@ class _SourceHandler:
         if kind is LineKind.PLAIN or kind is LineKind.SOURCE_DIRECTIVE:
             program = self._invoke(line)
             if program is not None:
-                return [version, program, None, None]
+                return version, program, None, None
             if kind is LineKind.SOURCE_DIRECTIVE:
                 t0 = tokens[0]
                 raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
@@ -128,16 +132,16 @@ class _SourceHandler:
             kind, tokens = line.kind, line.tokens
             program = self._invoke(line) if kind is LineKind.PLAIN else None
             if program is not None or kind is LineKind.BLANK:
-                return [version, program, None, None]
+                return version, program, None, None
             if kind not in _EMITTED:
                 raise StructureError(
                     f"substitution produced a {kind.value} line", line.pos
                 )
         if kind is not LineKind.ASSIGNMENT:
-            return [version, None, line, None]
+            return version, None, line, None
         eq = dotted_name_end(tokens)
         rhs = compile_expr(tokens[eq + 1 :])
-        return [version, None, line, (dotted_name(tokens[:eq]), rhs)]
+        return version, None, line, (dotted_name(tokens[:eq]), rhs)
 
     def _invoke(self, line: Line) -> Optional[Program]:
         """The framed expansion of a command-style invocation, or None."""
@@ -254,9 +258,8 @@ def run_source_phase(
     it can evaluate are bound in env, which the caller owns."""
     out: list[Line] = []
     handler = _SourceHandler(env, table, out, limits)
-    engine = ControlEngine(
-        LineKind.SOURCE_DIRECTIVE, handler, env.get, diagnostics, limits
-    )
+    engine = ControlEngine(LineKind.SOURCE_DIRECTIVE, handler.compile,
+                           env.get, diagnostics, limits)
     engine.run(_frame(lines))
     return out
 

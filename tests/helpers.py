@@ -296,16 +296,23 @@ _LOOP_DEFS = [
     "class G ( v ) { E ( v ) + 1 } H",
     "a := b", "b := c", "c := K", "a := E ( 1 )", "op := alt", "u := db",
     "a := a + 1", "E := G",
+    # classes named with a '#' key, run as directives
+    "class #put x { db x + K }",
+    "class #put x , .. r\n{\n#put x\n#put r\n}",
+    "class op x { #put x }",
+    "class alt x\n{\n#if x > 99\n#nokey x\n#endif\n#put K , x\n}",
 ]
 _LOOP_BASE = [
     "class op .. r { db 99 }", "class E ( v ) { v }", "class alt x { db x }",
+    "class #put .. r { db 98 }",
 ]
 # looped uses: plain, data and assignment lines, invocations of each shape
 _LOOP_USES = [
     "op V", "op V , 2 , 3", "op 1 , V , 2 , 3", "op 1 + V", "alt V",
     "plus V", "db H ( V )", "db E ( V )", "db a , b , c", "db G ( E ( V ) )",
     "xK = E ( V ) + a", "xK = a", "yK = c", "u V", "db op", "op E ( V )",
-    "#print a , b , c",
+    "#print a , b , c", "#put V", "#put V , 2 , 3", "#put E ( V )",
+    "#if V > 99\n#nokey V\n#endif",
 ]
 
 
@@ -313,7 +320,9 @@ def gen_redefine_program(rng, max_lines=14):
     """Classes, aliases and substitutions defined or redefined inside
     '#while' and '#repeat' loops, often under an '#if' on the counter,
     between recursive, variadic and embedded invocations in looped plain,
-    data and assignment lines."""
+    data and assignment lines.  Some classes are named with a '#' key and
+    run as directives, from the loop and from class bodies, and some
+    unknown '#' keys sit on lines no pass reaches."""
     lines = []
 
     def fill(text, counter):

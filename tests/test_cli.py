@@ -268,31 +268,47 @@ def test_print_order_crosses_phases(tmp_path):
     assert report.diagnostics == ["first", "second"]
 
 
-def test_translate_leaves_no_cyclic_garbage(tmp_path):
+_GARBAGE_RULES = (
+    "class put x { db x }\n"
+    "class INC ( v ) { v + 1 }\n"
+    "class push x { db x }\n"
+    "class push x , .. rest\n{\n#if (x) % 4 = 0\ndb x\n#endif\n"
+    "push rest\n}\n"
+)
+_GARBAGE_OK = (
+    "top :\ni = 0\n#while i < 20\nput i\ndb INC(i), end\ny = top + i\n"
+    "push i , 4 , 6 , i + 8\n#if i = 10\nclass put x { dw x }\n"
+    "put := push\n#endif\ni = i + 1\n#endw\n@repeat 3\ndb 1\n@until\n"
+    "end :\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, limits, status",
+    [
+        (_GARBAGE_OK, Limits(), "ok"),
+        ("db 1 / 0\n", Limits(), "user-error"),
+        ("dd later + 1 / 0\nlater :\n", Limits(), "user-error"),
+        ("i = 0\n#while 1\nput i\n#error stop at i\n#endw\n", Limits(),
+         "user-error"),
+        ("push 1 , 2 , 3 , 4 , 5\n", Limits(max_depth=2), "user-error"),
+    ],
+    ids=["ok", "eval-error", "fixup-error", "abort", "depth-limit"],
+)
+def test_translate_leaves_no_cyclic_garbage(tmp_path, source, limits, status):
     # whatever a translation keeps (expansions pushed again, compiled
-    # lines) is freed by reference counting alone, so no collector pass
-    # is owed for it after translate() returns
-    rules = (
-        "class put x { db x }\n"
-        "class INC ( v ) { v + 1 }\n"
-        "class push x { db x }\n"
-        "class push x , .. rest\n{\n#if (x) % 4 = 0\ndb x\n#endif\n"
-        "push rest\n}\n"
-    )
-    source = (
-        "top :\ni = 0\n#while i < 20\nput i\ndb INC(i), end\ny = top + i\n"
-        "push i , 4 , 6 , i + 8\n#if i = 10\nclass put x { dw x }\n"
-        "put := push\n#endif\ni = i + 1\n#endw\n@repeat 3\ndb 1\n@until\n"
-        "end :\n"
-    )
+    # lines) or raises is freed by reference counting alone, so no
+    # collector pass is owed for it after translate() returns
     gc.collect()
     gc.disable()
     try:
-        report, _ = run_files(tmp_path, source, rules=[rules])
+        report, _ = run_files(
+            tmp_path, source, rules=[_GARBAGE_RULES], limits=limits
+        )
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert report.status == "ok", report.diagnostics
+    assert report.status == status, report.diagnostics
 
 
 def test_print_before_a_run_error_is_kept(tmp_path):

@@ -1,5 +1,6 @@
-"""No gtrans module reaches into another module's private names, and
-every private name a module defines is read somewhere in it."""
+"""No gtrans module reaches into another module's private names, every
+private name a module defines is read somewhere in it, and every name it
+exports is read somewhere else."""
 
 import ast
 from collections import Counter
@@ -146,16 +147,24 @@ def test_no_private_name_is_dead():
     assert faults == []
 
 
+def _exports(tree):
+    """The names listed in a module's __all__."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        )
+        for name in ast.literal_eval(node.value)
+    ]
+
+
 def unused_imports(source):
     """(line, name) for each name that source imports but neither reads
     by name nor lists in __all__.  'from __future__' imports are exempt."""
     tree = ast.parse(source)
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
+    exported = set(_exports(tree))
     read = {
         n.id
         for n in ast.walk(tree)
@@ -198,3 +207,63 @@ def test_no_module_imports_an_unused_name():
         for line, name in unused_imports(path.read_text())
     ]
     assert faults == []
+
+
+def dead_exports(modules, others):
+    """(module, name) for each name in the __all__ of a module in modules
+    that no other source, in modules or in others, imports or reads as a
+    name or an attribute.  Both map a path to its source text; dunder
+    names such as __version__ are left to the tools that read them."""
+    sources = {**others, **modules}
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    reads = {
+        path: set(_reads(tree)).union(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        for path, tree in trees.items()
+    }
+    return sorted(
+        (path, name)
+        for path in modules
+        for name in _exports(trees[path])
+        if not name.endswith("__")
+        and not any(name in read for p, read in reads.items() if p != path)
+    )
+
+
+def test_checker_finds_dead_exports():
+    modules = {
+        "a.py": (
+            "__all__ = ['used', 'imported', 'own', 'unused', '__version__']\n"
+            "def used(): pass\ndef own(): pass\nown()\n"
+        ),
+        "b.py": (
+            "__all__ = ['helper']\n"
+            "from a import imported\nimport a\na.used()\n"
+        ),
+    }
+    others = {"t.py": "from b import helper\n"}
+    assert dead_exports(modules, others) == [
+        ("a.py", "own"), ("a.py", "unused")
+    ]
+    assert dead_exports(modules, {}) == [
+        ("a.py", "own"), ("a.py", "unused"), ("b.py", "helper")
+    ]
+
+
+def test_every_export_is_read_elsewhere():
+    root = Path(__file__).resolve().parent.parent
+    modules = {
+        str(path.relative_to(SRC)): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    others = {
+        str(path): path.read_text()
+        for folder in ("tests", "pipebench")
+        for path in sorted((root / folder).glob("*.py"))
+    }
+    assert len(others) >= 10
+    assert dead_exports(modules, others) == []

@@ -724,6 +724,33 @@ def test_a_definition_in_the_loop_replans_each_pass(monkeypatch):
     assert r200 > 10 * r10 and s200 > 10 * s10
 
 
+_HASH_LOOP = "class #put x { db x }\ni = 0\n#while i < {n}\n#put i\n{define}"
+_HASH_LOOP += "i = i + 1\n#endw\n"
+
+
+def test_a_looped_hash_keyed_class_is_planned_once(monkeypatch):
+    # '#put' is a directive key the engine does not know, so the source
+    # phase compiles it, and its plan is kept like any other line's
+    counts = []
+    for n in (10, 200):
+        src = _HASH_LOOP.replace("{n}", str(n)).replace("{define}", "")
+        resolves, structures, emitted, env = _counted_run(monkeypatch, src)
+        assert env["i"] == n and emitted == 2 * n + 1
+        counts.append((resolves, structures))
+    assert counts == [(1, 2), (1, 2)]
+
+
+def test_a_hash_keyed_class_redefined_in_a_loop():
+    define = "#if i = 1\nclass #put x { dw x }\n#endif\n"
+    src = _HASH_LOOP.replace("{n}", "4").replace("{define}", define)
+    stream, _, _, _ = run(src)
+    assert render(stream) == (
+        "i = 0\ndb i\ni = i + 1\ndb i\ni = i + 1\n"
+        "dw i\ni = i + 1\ndw i\ni = i + 1"
+    )
+    assert run_dest_phase(stream).data == bytes.fromhex("000102000300")
+
+
 def test_redefinition_in_a_loop_takes_effect_on_the_next_pass():
     src = (
         "class f x { db x }\ni = 0\n#while i < 4\nf i\n#if i = 1\n"
