@@ -31,12 +31,13 @@ decides the next pass.
 
 A line is compiled when it runs, by _compiled: one of the engine's
 directives to its (key, compiled argument, position) tuple, any other
-line to the op the phase's hook builds.  Compiled forms are kept in a
-per-program cache by pc for the lines that can run again: those inside
-a while or repeat block, and every line of a program pushed by a line
-that keeps its own compiled form, since its op may push that same
-Program again.  Any other line is compiled each time it runs and then
-dropped, since most lines run once.
+line to the op the phase's hook builds.  Each program keeps its compiled
+forms by Line object, which compares by identity, so a line the stream
+holds at many positions is one entry.  An expansion keeps each op from
+its first run, as long as the Program lives: a kept plan pushes that
+same Program again.  The top-level program lives for the whole run and
+most of its lines run once, so it keeps an op only from its line's
+second sighting and marks the first.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
 # the directives the engine runs itself
 _KEYS = {*_OPENERS, *_OPENERS.values(), "elif", "else", "break", "print",
          "error"}
+# a top-level line's entry in Program.ops after its first sighting
+_SEEN = object()
 
 
 def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
@@ -141,15 +144,14 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
 
 @dataclass(eq=False, slots=True)
 class Program:
-    """Lines to push, with what the engine derives from them on the first
-    push: block structure, and which compiled forms are kept.  Pushing
-    it again reuses both; only one push of it runs at a time."""
+    """Lines to push, with what the engine derives from them: block
+    structure on the first push, and compiled forms as lines run.
+    Pushing it again reuses both; only one push of it runs at a time."""
 
     lines: list[Line]
     structure: Optional[dict[int, Block]] = None
-    # compiled forms of the lines that keep one, by pc; None until the
-    # line first runs
-    ops: Optional[dict[int, object]] = None
+    # compiled forms by line, kept as the module docstring says
+    ops: dict[Line, object] = field(default_factory=dict)
     pc: int = 0
     # [passes, repeat count or None] of each running loop, by open line
     loops: dict[int, list] = field(default_factory=dict)
@@ -182,17 +184,8 @@ class ControlEngine:
                 f"expansion depth exceeds {self.limits.max_depth}", pos
             )
         if program.structure is None:  # its first push
-            lines = program.lines
-            structure = build_structure(lines, self.directive_kind)
-            top = self.stack[-1] if self.stack else None
-            if top is not None and top.pc in top.ops:
-                kept = [range(len(lines))]  # pushed by a kept line: reruns
-            else:
-                kept = [range(idx, b.close_idx + 1)
-                        for idx, b in structure.items()
-                        if idx == b.open_idx and b.kind != "if"]
-            program.ops = {pc: None for pcs in kept for pc in pcs}
-            program.structure = structure
+            program.structure = build_structure(program.lines,
+                                                self.directive_kind)
         program.pc = 0
         self.stack.append(program)
 
@@ -219,20 +212,18 @@ class ControlEngine:
             prog.pc = pc + 1
 
     def _compiled(self, prog: Program, pc: int):
-        """The compiled form of line pc of prog.  A line that can run
-        again (see the module docstring) is compiled once and kept with
-        its program; any other line is compiled each time it is asked for.
-        """
-        ops = prog.ops
-        op = ops.get(pc)
-        if op is None:
-            line = prog.lines[pc]
+        """The compiled form of line pc of prog: kept with prog from the
+        line's first run in an expansion, from its second sighting in the
+        top-level program (see the module docstring)."""
+        line = prog.lines[pc]
+        op = prog.ops.get(line)
+        if op is None or op is _SEEN:
+            keep = op is _SEEN or prog is not self.stack[0]
             if line.kind is self.directive_kind:
                 op = self._compile_directive(line)
             else:
                 op = self.compile_line(line)
-            if pc in ops:
-                ops[pc] = op
+            prog.ops[line] = op if keep else _SEEN
         return op
 
     def _compile_directive(self, line: Line):

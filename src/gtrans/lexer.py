@@ -105,8 +105,11 @@ def _make(kind, text, value, line_pos, col) -> Token:
     return tok
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Line:
+    """Lines compare by identity, so equal-looking lines at different
+    positions stay apart as keys of the engine's compiled forms."""
+
     tokens: tuple[Token, ...]
     kind: LineKind
     pos: Position

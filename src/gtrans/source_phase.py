@@ -24,8 +24,10 @@ the engine does not know, gets a plan: push this framed expansion, emit
 this line (binding its compiled right side if it assigns), or drop it.
 The plan depends only on the line and the class table, so its op holds
 it stamped with the table's version and plans again only when that has
-moved; the engine keeps the op where it keeps compiled lines.  A kept
-expansion is the same Program each time, so its lines keep their ops.
+moved.  The engine keeps ops by line: a looped line of the input keeps
+its op from its second pass, and a line of an expansion from its first
+run.  A kept expansion is the same Program each time, so its lines keep
+their ops.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class _SourceHandler:
         self.table.define(name, header[2:], line.bodies, aliases, line.pos)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _Framed(Line):
     """A line with the brace block it opens folded in: its tokens stop
     before the '{', then come the body fragments, one per line, and the

@@ -9,8 +9,9 @@ A side is a source tree (a directory holding the gtrans package) or, with
 'git archive' into a temp dir.  Revisions fill the old side first.
 Each side runs in its own interpreter over the same programs from
 helpers.gen_programs: a brace-heavy line pool, '#'/'@' control flow,
-class overloads, nested loops with breaks, and classes, aliases and
-substitutions defined inside loops, in turn.  A run's status,
+class overloads, nested loops with breaks, classes, aliases and
+substitutions defined inside loops, and '@' lines re-emitted by '#'
+loops, in turn.  A run's status,
 diagnostics and output bytes are compared program by program.  The
 report counts the programs that agree, by status, and groups the ones
 that differ by their pair of statuses and last diagnostics, positions

@@ -371,19 +371,93 @@ def gen_redefine_program(rng, max_lines=14):
     return "\n".join(lines) + "\n"
 
 
+# '@'-phase lines for '#' loops to re-emit; V is the loop counter or a
+# number, K a number.  f1, f2 and later are labels defined after the loop,
+# or not at all; em and p1 are defined in the prelude, or not at all.
+_REEMIT_LINES = [
+    # data and reserve lines whose values and fills name later labels
+    "db f1 + V", "dw f2 - V , V", "dd later * K", "rb K , f2", "rw V , f1",
+    "rb V , later - V", "db 300 * V , f1", "dq f1 , f2 , V",
+    # labels, each run of which defines them again
+    "g1 : db V", "#if V = K\ng2 : dw f1\n#endif",
+    "#if V = K\nh.x :\n#endif",
+    # guarded regions: p1 is a procedure after the loop, p2 a symbol
+    "dw p1", "@if [p2]\ndb V , f1\n@endif", "@if [p3]\ndb K\n@endif",
+    # '@' control blocks
+    "@if V % 2\ndb V\n@elif V = K\ndw f1\n@else\ndd V\n@endif",
+    "k = 0\n@while k < V\ndb k , f2\nk = k + 1\n@endw",
+    "@repeat V\ndb f1\n@until", "@print V , K",
+    "@if V = K\n@error \"at\" , V\n@endif",
+    # values that fault only on a later pass
+    "db 10 / ( K - V )", "rb K - V", "dw 1 % ( K - V ) , f1",
+    "db f1 / ( K - V )",
+    # an '@' line a kept expansion emits
+    "em V", "em f1 + V",
+]
+
+
+def gen_reemit_program(rng, max_lines=10):
+    """'#while' and '#repeat' loops that re-emit the same '@'-phase lines
+    on every pass: data and reserve lines with forward-referenced labels
+    and fills, labels, '@if [name]' guarded regions, '@if', '@while',
+    '@print' and '@error' blocks, values that fault only on a later pass,
+    and the lines of a class expansion."""
+    lines = []
+    if rng.random() < 0.7:
+        lines.append("class em x { dw x , later }")
+    if rng.random() < 0.5:
+        lines.append("p2 = %d" % rng.randrange(1, 4))
+
+    def fill(text, counter):
+        k = str(rng.randrange(1, 5))
+        return text.replace("K", k).replace("V", rng.choice([counter, k]))
+
+    def body(depth, counter, budget):
+        for _ in range(rng.randrange(1, 5)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            if rng.random() < 0.85 or depth >= 2:
+                lines.append(fill(rng.choice(_REEMIT_LINES), counter))
+            else:
+                loop(depth + 1, budget)
+
+    def loop(depth, budget):
+        v = "i%d" % depth
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.5:
+            lines.extend(["%s = 0" % v, "#while %s < %d" % (v, n)])
+            body(depth, v, budget)
+            lines.extend(["%s = %s + 1" % (v, v), "#endw"])
+        else:
+            lines.extend(["%s = 0" % v, "#repeat %d" % n])
+            body(depth, v, budget)
+            lines.extend(["%s = %s + 1" % (v, v), "#until"])
+
+    loop(0, [max_lines])
+    for label in ("f1 : db 1", "f2 :", "later : dw f1"):
+        if rng.random() < 0.85:
+            lines.append(label)
+    if rng.random() < 0.7:
+        lines.extend(["@if [p1]", "p1 : db 7", "@endif"])
+    return "\n".join(lines) + "\n"
+
+
 def gen_programs(seed, count):
     """count seeded programs: brace-heavy, '#'/'@' control flow, class
-    overloads, nested loops with breaks, and definitions inside loops in
-    turn."""
+    overloads, nested loops with breaks, definitions inside loops, and
+    '@' lines re-emitted by '#' loops in turn."""
     rng = random.Random(seed)
     for n in range(count):
-        if n % 5 == 1:
+        if n % 6 == 1:
             yield gen_directive_program(rng, rng.choice("#@"))
-        elif n % 5 == 2:
+        elif n % 6 == 2:
             yield gen_class_program(rng)
-        elif n % 5 == 3:
+        elif n % 6 == 3:
             yield gen_loop_program(rng)
-        elif n % 5 == 4:
+        elif n % 6 == 4:
             yield gen_redefine_program(rng)
+        elif n % 6 == 5:
+            yield gen_reemit_program(rng)
         else:
             yield gen_brace_program(rng)

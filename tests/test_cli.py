@@ -164,6 +164,46 @@ def test_seeded_programs_end_ok_or_user_error(tmp_path):
     assert statuses["ok"] > 100 and statuses["user-error"] > 100, statuses
 
 
+# A kept '#' plan emits the same '@' Line object on every pass, so the
+# '@' phase meets one object at many positions of its stream.
+_REEMITTED = [
+    # forward reference, one fixup per position
+    ("i = 0\n#repeat 3\ndw later + i\ni = i + 1\n#until\nlater:\n", False,
+     [], "06 00 07 00 08 00"),
+    # a value that faults only on a later pass
+    ("i = 0\n#repeat 4\ndb 10 / (2 - i)\ni = i + 1\n#until\n", False,
+     ["t.s:3:7: division by zero"], None),
+    ("#repeat 2\nlab:\n#until\n", False,
+     ["t.s:2:1: duplicate label 'lab'"], None),
+    ("i = 0\n#repeat 3\ndb 300 * i, f\ni = i + 1\n#until\nf:\n", False,
+     [], "00 06 2c 06 58 06"),
+    ("i = 0\n#repeat 3\ndb 300 * i, f\ni = i + 1\n#until\nf:\n", True,
+     ["t.s:3:1: value 300 does not fit in 1 byte(s)"], None),
+    ("i = 0\n#repeat 3\nk = 0\n@while k < i\ndb k\nk = k + 1\n@endw\n"
+     "i = i + 1\n#until\n", False, [], "00 00 01"),
+    ("i = 0\n#repeat 3\ndb f\n@print i\ni = i + 1\n#until\ndb 1 / 0\nf:\n",
+     False, ["0", "1", "2", "t.s:7:6: division by zero"], None),
+]
+
+
+@pytest.mark.parametrize("source, strict, log, dump", _REEMITTED)
+def test_at_lines_a_hash_loop_reemits(tmp_path, monkeypatch, source, strict,
+                                      log, dump):
+    monkeypatch.chdir(tmp_path)
+    Path("t.s").write_text(source)
+    config = TranslatorConfig(source="t.s", output="t.out", format="hex",
+                              strict_overflow=strict)
+    report = translate(config)
+    assert report.diagnostics == log
+    if dump is None:
+        assert report.status == "user-error" and not Path("t.out").exists()
+    else:
+        text = Path("t.out").read_text()
+        assert report.status == "ok" and text.split("  ")[0] == (
+            "00000000: " + dump
+        )
+
+
 def test_endian_flag(tmp_path):
     _, little = run_files(tmp_path, "dd 0x13\n")
     _, big = run_files(tmp_path, "dd 0x13\n", endian="big")
