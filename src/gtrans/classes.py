@@ -92,43 +92,35 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
             fixed.append(Sep(tuple(sep_run)))
             sep_run.clear()
 
-    for i, tok in enumerate(tokens):
-        if seen_marker:
-            if variadic is not None:
-                raise StructureError(
-                    "nothing may follow the variadic parameter", tok.pos
-                )
-            if tok.kind is not TokenKind.IDENTIFIER:
-                raise StructureError(
-                    "expected a parameter name after '..'", tok.pos
-                )
+    for tok in tokens:
+        if variadic is not None:
+            raise StructureError(
+                "nothing may follow the variadic parameter", tok.pos
+            )
+        if seen_marker and tok.kind is not TokenKind.IDENTIFIER:
+            raise StructureError("expected a parameter name after '..'", tok.pos)
+        if tok.kind is TokenKind.IDENTIFIER:
             if tok.text in params:
                 raise StructureError(
                     f"duplicate parameter '{tok.text}'", tok.pos
                 )
-            variadic = tok.text
             params.add(tok.text)
-            continue
-        if tok.is_op(".."):
+            if seen_marker:
+                variadic = tok.text
+            else:
+                flush()
+                fixed.append(Param(tok.text))
+        elif tok.is_op(".."):
             flush()
             seen_marker = True
-            continue
-        if tok.kind is TokenKind.IDENTIFIER:
-            flush()
-            if tok.text in params:
-                raise StructureError(
-                    f"duplicate parameter '{tok.text}'", tok.pos
-                )
-            params.add(tok.text)
-            fixed.append(Param(tok.text))
-            continue
-        if tok.kind in (TokenKind.INTEGER, TokenKind.STRING):
+        elif tok.kind in (TokenKind.INTEGER, TokenKind.STRING):
             raise StructureError(
                 f"literal '{tok.text}' is not allowed in a pattern", tok.pos
             )
-        if tok.text in ("{", "}"):
+        elif tok.text in ("{", "}"):
             raise StructureError("braces cannot be pattern separators", tok.pos)
-        sep_run.append(tok.text)
+        else:
+            sep_run.append(tok.text)
     flush()
     if seen_marker and variadic is None:
         raise StructureError("expected a parameter name after '..'", pos)
@@ -258,7 +250,7 @@ class ClassTable:
 
     def __init__(self) -> None:
         self.defs: list[ClassDef] = []
-        self._by_name: dict[str, list[int]] = {}
+        self._by_name: dict[str, list[ClassDef]] = {}
         self.substitutions: dict[str, tuple[Token, ...]] = {}
         self.version = 0
 
@@ -284,7 +276,7 @@ class ClassTable:
         self.defs.append(cls)
         self.version += 1
         for key in (name, *aliases):
-            self._by_name.setdefault(key, []).append(cls.seq)
+            self._by_name.setdefault(key, []).append(cls)
         return cls
 
     def has_name(self, name: str) -> bool:
@@ -299,8 +291,7 @@ class ClassTable:
         (a variadic one is not: the check would read its whole tail).
         """
         present = None
-        for seq in reversed(self._by_name.get(name, ())):
-            cls = self.defs[seq]
+        for cls in reversed(self._by_name.get(name, ())):
             if cls.variadic is None and cls.seps:
                 if present is None:
                     present = {t.text for t in args}
@@ -350,9 +341,11 @@ def _matching_paren(tokens, open_idx: int) -> Optional[int]:
 def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> list[Token]:
     """Replace embedded 'name ( ... )' groups with single-line bodies.
 
-    Scans left to right; a successful splice is rescanned from the same
-    spot so nested calls resolve inside out.  Only classes whose body is
-    one line can sit inside another line.
+    Scans left to right.  An outer call is matched first, on its raw
+    arguments, calls nested in them included; the scan moves into its
+    arguments only if it does not match.  A splice is rescanned from the
+    same spot, so calls its body makes expand too.  Only classes whose
+    body is one line can sit inside another line.
     """
     toks = list(tokens)
     spliced = 0

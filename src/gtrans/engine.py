@@ -21,13 +21,13 @@ for the phase.
 
 Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
-'#endif' or a bare '#repeat ... #until' fails fast even when execution
-would never reach it.  build_structure returns one map from each
-structural line (opener, arm, else, closer, break) to its block, a
-break's block being the innermost loop around it, so a running loop
-keeps only its pass counter.  A loop's opening line runs once, on entry;
-its closing line ('#endw' re-testing the while condition, or '#until')
-decides the next pass.
+'#endif', a bare '#repeat ... #until' or an '#else' with arguments fails
+fast even when execution would never reach it.  build_structure
+returns one map from each structural line (opener, arm, else, closer,
+break) to its block, a break's block being the innermost loop around
+it, so a running loop keeps only its pass counter.  A loop's opening
+line runs once, on entry; its closing line ('#endw' re-testing the
+while condition, or '#until') decides the next pass.
 
 A line is compiled when it runs, by _compiled: one of the engine's
 directives to its (key, compiled argument, position) tuple, any other
@@ -74,9 +74,9 @@ class Block:
 
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
+_CLOSERS = {close: opener for opener, close in _OPENERS.items()}
 # the directives the engine runs itself
-_KEYS = {*_OPENERS, *_OPENERS.values(), "elif", "else", "break", "print",
-         "error"}
+_KEYS = {*_OPENERS, *_CLOSERS, "elif", "else", "break", "print", "error"}
 # a top-level line's entry in Program.ops after its first sighting
 _SEEN = object()
 
@@ -87,7 +87,8 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
     Returns a map from each opening, elif, else and closing line to its
     block, and from each break line to the innermost loop around it.
     Only lines of directive_kind take part; every other line is content
-    to the engine.
+    to the engine.  An else, endif or endw line with anything after its
+    key is a fault here too.
     """
     structure: dict[int, Block] = {}
     stack: list[Block] = []
@@ -98,6 +99,10 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
         name = line.tokens[0].text
         base = name[1:]
         pos = line.tokens[0].pos
+        if base in ("else", "endif", "endw") and len(line.tokens) > 1:
+            raise StructureError(
+                f"'{name}' takes no arguments", line.tokens[1].pos
+            )
         if base in _OPENERS:
             stack.append(Block(base, idx, outer=loop))
             if base != "if":
@@ -105,23 +110,21 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
         elif base == "break":
             if loop is not None:
                 structure[idx] = loop
-        elif base == "elif":
+        elif base in ("elif", "else"):
             if not stack or stack[-1].kind != "if":
                 raise StructureError(f"'{name}' without a matching if", pos)
-            if stack[-1].else_idx is not None:
-                raise StructureError(f"'{name}' after else", pos)
-            stack[-1].arms.append(idx)
-            structure[idx] = stack[-1]
-        elif base == "else":
-            if not stack or stack[-1].kind != "if":
-                raise StructureError(f"'{name}' without a matching if", pos)
-            if stack[-1].else_idx is not None:
-                raise StructureError(f"duplicate '{name}'", pos)
-            stack[-1].else_idx = idx
-            structure[idx] = stack[-1]
-        elif base in ("endif", "endw", "until"):
-            want = {"endif": "if", "endw": "while", "until": "repeat"}[base]
-            if not stack or stack[-1].kind != want:
+            block = structure[idx] = stack[-1]
+            if block.else_idx is not None:
+                raise StructureError(
+                    f"duplicate '{name}'" if base == "else"
+                    else f"'{name}' after else", pos
+                )
+            if base == "else":
+                block.else_idx = idx
+            else:
+                block.arms.append(idx)
+        elif base in _CLOSERS:
+            if not stack or stack[-1].kind != _CLOSERS[base]:
                 raise StructureError(f"unexpected '{name}'", pos)
             block = stack.pop()
             head = lines[block.open_idx].tokens

@@ -25,7 +25,7 @@ import operator
 from typing import Callable, Optional, Union
 
 from .errors import EvalError, LimitError, NO_POS, Position, UnresolvedNameError
-from .lexer import Token, TokenKind, dotted_name_end
+from .lexer import Token, TokenKind, dotted_name, dotted_name_end
 
 Value = Union[int, str]
 # returns None for names it does not know
@@ -35,27 +35,6 @@ Expr = Callable[[Lookup], Value]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "=": 6,
-    "!=": 6,
-    "<": 7,
-    "<=": 7,
-    ">": 7,
-    ">=": 7,
-    "<<": 8,
-    ">>": 8,
-    "+": 9,
-    "-": 9,
-    "*": 10,
-    "/": 10,
-    "%": 10,
-}
 
 _UNARY = ("!", "~", "-")
 
@@ -93,29 +72,32 @@ def _raise(exc: Exception):
         del exc  # the traceback holds this frame: break the cycle
 
 
-# operators on two integers: (a, b, position of the operator) -> value;
-# '+' also joins two strings
-_INT_OPS = {
-    "+": lambda a, b, pos: wrap64(a + b),
-    "-": lambda a, b, pos: wrap64(a - b),
-    "*": lambda a, b, pos: wrap64(a * b),
-    "/": lambda a, b, pos: wrap64(_trunc_div(a, b))
-    if b else _raise(EvalError("division by zero", pos)),
-    "%": lambda a, b, pos: wrap64(a - _trunc_div(a, b) * b)
-    if b else _raise(EvalError("modulo by zero", pos)),
-    "<<": lambda a, b, pos: wrap64(a << b)
-    if 0 <= b <= 63 else _raise(EvalError("shift count out of range", pos)),
-    ">>": lambda a, b, pos: a >> b
-    if 0 <= b <= 63 else _raise(EvalError("shift count out of range", pos)),
-    "&": lambda a, b, pos: wrap64(a & b),
-    "^": lambda a, b, pos: wrap64(a ^ b),
-    "|": lambda a, b, pos: wrap64(a | b),
-    "=": lambda a, b, pos: 1 if a == b else 0,
-    "!=": lambda a, b, pos: 1 if a != b else 0,
-    "<": lambda a, b, pos: 1 if a < b else 0,
-    "<=": lambda a, b, pos: 1 if a <= b else 0,
-    ">": lambda a, b, pos: 1 if a > b else 0,
-    ">=": lambda a, b, pos: 1 if a >= b else 0,
+# each binary operator: (precedence, function of (a, b, position of the
+# operator) on two integers; '+' also joins two strings).  '&&' and '||'
+# have no function: they short-circuit.
+_BINARY = {
+    "||": (1, None),
+    "&&": (2, None),
+    "|": (3, lambda a, b, pos: wrap64(a | b)),
+    "^": (4, lambda a, b, pos: wrap64(a ^ b)),
+    "&": (5, lambda a, b, pos: wrap64(a & b)),
+    "=": (6, lambda a, b, pos: 1 if a == b else 0),
+    "!=": (6, lambda a, b, pos: 1 if a != b else 0),
+    "<": (7, lambda a, b, pos: 1 if a < b else 0),
+    "<=": (7, lambda a, b, pos: 1 if a <= b else 0),
+    ">": (7, lambda a, b, pos: 1 if a > b else 0),
+    ">=": (7, lambda a, b, pos: 1 if a >= b else 0),
+    "<<": (8, lambda a, b, pos: wrap64(a << b) if 0 <= b <= 63
+           else _raise(EvalError("shift count out of range", pos))),
+    ">>": (8, lambda a, b, pos: a >> b if 0 <= b <= 63
+           else _raise(EvalError("shift count out of range", pos))),
+    "+": (9, lambda a, b, pos: wrap64(a + b)),
+    "-": (9, lambda a, b, pos: wrap64(a - b)),
+    "*": (10, lambda a, b, pos: wrap64(a * b)),
+    "/": (10, lambda a, b, pos: wrap64(_trunc_div(a, b))
+          if b else _raise(EvalError("division by zero", pos))),
+    "%": (10, lambda a, b, pos: wrap64(a - _trunc_div(a, b) * b)
+          if b else _raise(EvalError("modulo by zero", pos))),
 }
 
 
@@ -154,7 +136,8 @@ def _step(tok: Token, fault: Optional[Expr]):
     the step runs its right operand itself.  fault raises the parse fault
     inside the right operand, if it holds one."""
     op, pos = tok.text, tok.pos
-    if op in ("&&", "||"):
+    f = _BINARY[op][1]
+    if f is None:  # '&&' or '||'
         go_on = op == "&&"  # the truth of the left side that reads on
 
         def logical(a, right, lookup):
@@ -165,7 +148,6 @@ def _step(tok: Token, fault: Optional[Expr]):
             return 0 if go_on else 1
 
         return logical
-    f = _INT_OPS[op]
     if op == "+":
         message = "operator '+' needs two integers or two strings"
     else:
@@ -237,8 +219,8 @@ class _Compiler:
             tok = tokens[self.i]
             if tok.kind is not TokenKind.OPERATOR:
                 break
-            prec = PRECEDENCE.get(tok.text)
-            if prec is None or prec < min_prec:
+            prec = _BINARY.get(tok.text, (0,))[0]  # 0: not binary
+            if prec < min_prec:
                 break
             self.i += 1
             right = self.expression(prec + 1)
@@ -284,7 +266,7 @@ class _Compiler:
             self.i = dotted_name_end(tokens, start)
             name = tok.text
             if self.i > start + 1:
-                name = ".".join(t.text for t in tokens[start : self.i : 2])
+                name = dotted_name(tokens[start : self.i])
             self.names[name] = None
             return _fetch(name, tok.pos)
         return self.stop(f"unexpected '{tok.text}'", tok.pos)

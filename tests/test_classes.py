@@ -79,6 +79,28 @@ def test_parse_rejections(pattern):
         parse_pattern(toks(pattern), NO_POS)
 
 
+@pytest.mark.parametrize(
+    "header, fault",
+    [
+        ("class f .. ,", "1:12: expected a parameter name after '..'"),
+        ("class f x ..", "1:1: expected a parameter name after '..'"),
+        ("class f x .. , x", "1:14: expected a parameter name after '..'"),
+        ("class f x x", "1:11: duplicate parameter 'x'"),
+        ("class f x .. x", "1:14: duplicate parameter 'x'"),
+        ("class f x .. x y", "1:14: duplicate parameter 'x'"),
+        ("class f x x .. x", "1:11: duplicate parameter 'x'"),
+        ("class f .. a b", "1:14: nothing may follow the variadic parameter"),
+        ("class f x .. y x", "1:16: nothing may follow the variadic parameter"),
+    ],
+)
+def test_pattern_fault_order_and_position(header, fault):
+    # the first faulty token of the header is the one reported
+    lines = tokenize_lines(header + " { db 1 }\n", "t.s")
+    with pytest.raises(StructureError) as exc:
+        run_source_phase(lines, {}, ClassTable(), [], Limits())
+    assert str(exc.value) == "t.s:" + fault
+
+
 # -- matching -------------------------------------------------------------
 
 

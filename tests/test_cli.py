@@ -1,6 +1,7 @@
 """Driver tests: argument parsing, file plumbing, formats, exit codes."""
 
 import gc
+import io
 import os
 import re
 import subprocess
@@ -78,6 +79,8 @@ def test_unknown_flag_rejected():
 def test_bad_format_rejected():
     with pytest.raises(UsageError, match="invalid choice"):
         parse_args(["--in", "p", "--format", "elf"])
+    with pytest.raises(UsageError, match="unknown output format 'elf'"):
+        format_output(image(b"\x90"), "elf")
 
 
 def test_define_integers_wrap_and_may_be_long():
@@ -186,13 +189,13 @@ _REEMITTED = [
 ]
 
 
-@pytest.mark.parametrize("source, strict, log, dump", _REEMITTED)
-def test_at_lines_a_hash_loop_reemits(tmp_path, monkeypatch, source, strict,
-                                      log, dump):
-    monkeypatch.chdir(tmp_path)
+def check_hex(source, log, dump, **cfg_kw):
+    """translate() source as t.s, in the working directory, with --format
+    hex: it logs log, and writes dump as its first row's bytes, or, for a
+    dump of None, fails and writes nothing."""
     Path("t.s").write_text(source)
     config = TranslatorConfig(source="t.s", output="t.out", format="hex",
-                              strict_overflow=strict)
+                              **cfg_kw)
     report = translate(config)
     assert report.diagnostics == log
     if dump is None:
@@ -202,6 +205,43 @@ def test_at_lines_a_hash_loop_reemits(tmp_path, monkeypatch, source, strict,
         assert report.status == "ok" and text.split("  ")[0] == (
             "00000000: " + dump
         )
+
+
+@pytest.mark.parametrize("source, strict, log, dump", _REEMITTED)
+def test_at_lines_a_hash_loop_reemits(tmp_path, monkeypatch, source, strict,
+                                      log, dump):
+    monkeypatch.chdir(tmp_path)
+    check_hex(source, log, dump, strict_overflow=strict)
+
+
+_M = "class M ( v ) {\ndb v\ndb v\n}\n"  # a body of two lines
+
+
+# The outer call of a nest is matched first, on its raw arguments; the
+# scan moves into them only if it fails.
+@pytest.mark.parametrize(
+    "source, log, dump",
+    [
+        # A binds y to '( 3 )' before I ever expands
+        ("class A ( x y ) { y }\nclass I ( v ) { v }\ndb A ( I ( 3 ) )\n",
+         [], "03"),
+        # M is never expanded, so its two-line body is no fault
+        (_M + "class A ( x ) { 7 }\ndb A ( M ( 1 ) )\n", [], "07"),
+        (_M + "db M ( 1 )\n",
+         ["t.s:5:4: class 'M' cannot expand inside a line: "
+          "its body is not a single line"], None),
+    ],
+    ids=["outer-binds-raw-call", "outer-hides-inner", "inner-alone"],
+)
+def test_embedded_calls_match_the_outer_call_first(tmp_path, monkeypatch,
+                                                    source, log, dump):
+    monkeypatch.chdir(tmp_path)
+    check_hex(source, log, dump)
+
+
+def test_variadic_pattern_may_start_with_a_separator(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_hex("class w : a , .. rest { db a }\nw : 5 , 6 , 7\n", [], "05")
 
 
 def test_endian_flag(tmp_path):
@@ -437,6 +477,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--in", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "nope" in err and "p.src:1:" in err
+
+
+def test_main_reads_stdin_and_writes_stdout(monkeypatch, capsysbinary):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"db 7\n")))
+    assert main(["--in", "-"]) == 0
+    assert capsysbinary.readouterr() == (b"\x07", b"")
 
 
 def _child_env():

@@ -171,6 +171,12 @@ def test_reserve_count_faults():
         emit("rb 1, 2, 3\n")
     with pytest.raises(EvalError, match="expected a value after ','"):
         emit("rb 2,\n")
+    with pytest.raises(EmitError) as exc:
+        emit('rb "a"\n')
+    assert str(exc.value) == "t.s:1:1: reserve count must be an integer"
+    with pytest.raises(EmitError) as exc:
+        emit('rb 2, "a"\n')
+    assert str(exc.value) == "t.s:1:1: reserve value must be an integer"
 
 
 # -- labels ----------------------------------------------------------------

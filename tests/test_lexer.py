@@ -196,6 +196,12 @@ def test_token_equality_ignores_position():
     assert a == b
 
 
+def test_token_is_unequal_to_a_non_token():
+    db = tokenize("db")[0]
+    assert db != "db" and db != ("db",) and not db == None  # noqa: E711
+    assert repr(db) == "Token(IDENTIFIER, 'db')"
+
+
 # random token soup for the round-trip property
 _IDENTS = ["a", "bx", "r0", "mov", "_t", "Sum", "class", "db", "P1"]
 _OPS = ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "=", "!=",

@@ -150,6 +150,34 @@ def test_bare_repeat_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "src, fault",
+    [
+        ("#if 0\ndb 1\n#else if 0\ndb 2\n#endif\n",
+         "t.s:3:7: '#else' takes no arguments"),
+        ("#if 1\ndb 1\n#endif 1 / 0\n", "t.s:3:8: '#endif' takes no arguments"),
+        ("#while 0\n#endw }\n", "t.s:2:7: '#endw' takes no arguments"),
+        # found before the program runs, even where no pass reaches
+        ("#if 0\n#if 1\n#else x y\n#endif\n#endif\n",
+         "t.s:3:7: '#else' takes no arguments"),
+        ("class c {\n#if 1\n#endif x\n}\nc\n",
+         "t.s:3:8: '#endif' takes no arguments"),
+        ("@if 0\ndb 1\n@else junk\ndb 2\n@endif\n",
+         "t.s:3:7: '@else' takes no arguments"),
+        ("@if 1\n@endif 1 / 0\n", "t.s:2:8: '@endif' takes no arguments"),
+        ("@while 0\n@endw 0\n", "t.s:2:7: '@endw' takes no arguments"),
+        # before guard elimination, which would drop the unused region
+        ("@if [G]\n@if 1\n@endif ]\n@endif\n",
+         "t.s:3:8: '@endif' takes no arguments"),
+    ],
+)
+def test_closing_keys_take_no_arguments(src, fault):
+    with pytest.raises(StructureError) as exc:
+        stream, _, _, _ = run(src)
+        run_dest_phase(stream)
+    assert str(exc.value) == fault
+
+
 def test_loop_iteration_limit():
     with pytest.raises(LimitError, match="iteration limit"):
         run("#while 1\n#endw\n", limits=Limits(max_loop=50))
