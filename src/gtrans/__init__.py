@@ -10,13 +10,11 @@ name labels defined later when the run ends.
 from .errors import (
     EmitError,
     EvalError,
-    InternalError,
     LexError,
     LimitError,
     Position,
     StructureError,
     TranslationError,
-    UnresolvedNameError,
     UsageError,
     UserAbort,
 )
@@ -26,13 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "EmitError",
     "EvalError",
-    "InternalError",
     "LexError",
     "LimitError",
     "Position",
     "StructureError",
     "TranslationError",
-    "UnresolvedNameError",
     "UsageError",
     "UserAbort",
     "__version__",

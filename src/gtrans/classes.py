@@ -74,7 +74,7 @@ class ClassDef:
     seps: frozenset[str]  # every separator text of the fixed part
 
 
-def parse_pattern(tokens: Sequence[Token], pos: Position):
+def parse_pattern(tokens: Sequence[Token]):
     """Header tokens after the class name -> (fixed elements, variadic).
 
     Identifiers are parameters, everything else joins the current
@@ -85,7 +85,7 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
     params: set[str] = set()
     sep_run: list[str] = []
     variadic: Optional[str] = None
-    seen_marker = False
+    marker: Optional[Token] = None  # the '..' token, once read
 
     def flush():
         if sep_run:
@@ -97,7 +97,7 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
             raise StructureError(
                 "nothing may follow the variadic parameter", tok.pos
             )
-        if seen_marker and tok.kind is not TokenKind.IDENTIFIER:
+        if marker is not None and tok.kind is not TokenKind.IDENTIFIER:
             raise StructureError("expected a parameter name after '..'", tok.pos)
         if tok.kind is TokenKind.IDENTIFIER:
             if tok.text in params:
@@ -105,14 +105,14 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
                     f"duplicate parameter '{tok.text}'", tok.pos
                 )
             params.add(tok.text)
-            if seen_marker:
+            if marker is not None:
                 variadic = tok.text
             else:
                 flush()
                 fixed.append(Param(tok.text))
         elif tok.is_op(".."):
             flush()
-            seen_marker = True
+            marker = tok
         elif tok.kind in (TokenKind.INTEGER, TokenKind.STRING):
             raise StructureError(
                 f"literal '{tok.text}' is not allowed in a pattern", tok.pos
@@ -122,8 +122,8 @@ def parse_pattern(tokens: Sequence[Token], pos: Position):
         else:
             sep_run.append(tok.text)
     flush()
-    if seen_marker and variadic is None:
-        raise StructureError("expected a parameter name after '..'", pos)
+    if marker is not None and variadic is None:
+        raise StructureError("expected a parameter name after '..'", marker.pos)
     return tuple(fixed), variadic
 
 
@@ -262,7 +262,7 @@ class ClassTable:
         aliases: Sequence[str],
         pos: Position,
     ) -> ClassDef:
-        fixed, variadic = parse_pattern(pattern_tokens, pos)
+        fixed, variadic = parse_pattern(pattern_tokens)
         cls = ClassDef(
             name=name,
             fixed=fixed,

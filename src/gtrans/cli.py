@@ -4,8 +4,8 @@ Rule files and the source file form one translation unit: the rules are
 simply read first, so a rule file is ordinary input that happens to hold
 class definitions.  The unit runs through both phases and the image is
 written in one of three formats.  Exit codes: 0 for a clean run, 1 for
-any problem in the input or the invocation, 2 when an internal invariant
-fails (that one is a bug here, not in the user's program).
+any problem in the input or the invocation, 2 for any other exception
+(that one is a bug here, not in the user's program).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Optional
 from .classes import ClassTable
 from .dest_phase import EmitImage, run_dest_phase
 from .engine import Limits
-from .errors import InternalError, Position, TranslationError
-from .errors import UsageError, UserAbort
+from .errors import Position, TranslationError, UsageError
 from .expr import Value, wrap64
 from .lexer import decimal_value, tokenize_lines
 from .source_phase import run_source_phase
@@ -157,13 +156,11 @@ def translate(config: TranslatorConfig) -> RunReport:
             limits=config.limits,
         )
         _write(config.output, format_output(image, config.format))
-    except UserAbort:
-        report.status = "user-error"  # already reported by the directive
     except (TranslationError, OSError) as exc:
         diags.append(str(exc))
         report.status = "user-error"
-    except (InternalError, RecursionError) as exc:
-        diags.append(f"internal error: {exc}")
+    except Exception as exc:  # a bug in the translator, not in the input
+        diags.append(f"internal error: {type(exc).__name__}: {exc}")
         report.status = "internal-error"
     else:
         report.byte_count = len(image.data)

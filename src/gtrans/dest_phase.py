@@ -9,14 +9,16 @@ reserve counts never look forward, so each label's offset and each
 line's size are known when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
-evaluation fails is written as zero units and recorded as a fixup: where
-its bytes are, its compiled expression, the values its names had at that
-moment, and the length of the diagnostics log.  When the run ends, normally or at
-'@error', the fixups are evaluated in order against those values and the
-labels defined by then, range-checked under strict, and written in place.
-The first that fails is the translation's error, and the log is cut back
-to what it held when that value's line ran.  An error raised by a line
-during the run ends the translation before any fixup is evaluated.
+evaluation fails is written as zero units, and each run of a line that
+defers values leaves one fixup record: the log length, the values the
+line's names had then, and where each deferred value's bytes are, with
+its compiled expression.  When the run ends, normally or at '@error',
+the records are patched in order against those values and the labels
+defined by then: every value of one is evaluated before any is
+range-checked under strict and written in place.  The first that fails
+is the translation's error, and the log is cut back to what it held
+when that line ran.  An error raised by a line during the run ends the
+translation before any fixup is evaluated.
 
 Before the run, '@if [name]' blocks are treated as guarded regions:
 a region stays only while its name is referenced from somewhere outside
@@ -163,8 +165,8 @@ class _DestHandler:
         self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
         self.limits: Limits = limits
-        # (start, end, same line run as the previous, fixup entry of the
-        #  value, values of the entry's names then, log length then)
+        # one flat record per line run that deferred values: (log length,
+        #  the line's names, their values, (start, nbytes, fixup entry)...)
         self.fixups: list[tuple] = []
 
     def lookup(self, name: str) -> Optional[Value]:
@@ -243,23 +245,26 @@ class _DestHandler:
             fault = failing(
                 EmitError, f"'{keyword}' needs at least one value", pos
             )
-        # fixup entry of each value: (closure, its names, unit size, pos)
-        entries = [(fn, names, size, pos) for fn, _, names in values]
+        # fixup entry of each value: (closure, unit size, pos)
+        entries = [(fn, size, pos) for fn, _, _ in values]
+        names = tuple(dict.fromkeys(n for *_, ns in values for n in ns))
 
         def emit():
             if fault is not None:
                 fault(self.lookup)
             # every value is evaluated before any is written
             got = [0 if e[0] is None else self._now(e[0]) for e in entries]
-            joined = False
+            waiting = []
             for entry, value in zip(entries, got):
                 if value is None:
-                    self._defer(entry, size, joined)
-                    joined = True
+                    waiting.append((len(self.image.data), size, entry))
+                    self.image.data += bytes(size)
                 elif isinstance(value, str):
                     self._emit_string(value, keyword, pos)
                 else:
                     self.image.data += self._unit_bytes(value, size, pos)
+            if waiting:
+                self._defer(names, waiting)
 
         return emit
 
@@ -281,7 +286,7 @@ class _DestHandler:
         fill = None  # fixup entry of the fill; None for no fill or '?'
         if len(values) == 2 and values[1][0] is not None:
             fn, _, names = values[1]
-            fill = (fn, names, size, pos)
+            fill = (fn, size, pos)
 
         def reserve():
             n = count(self.lookup)
@@ -297,7 +302,8 @@ class _DestHandler:
                 late(self.lookup)
             value = 0 if fill is None else self._now(fill[0])
             if value is None:
-                self._defer(fill, size * n, False)
+                self._defer(names, [(len(self.image.data), size * n, fill)])
+                self.image.data += bytes(size * n)
             elif not isinstance(value, int):
                 raise EmitError("reserve value must be an integer", pos)
             else:
@@ -314,48 +320,35 @@ class _DestHandler:
         except EvalError:
             return None
 
-    def _defer(self, entry, nbytes: int, joined: bool) -> None:
-        """Write nbytes of zeros and record a fixup for them."""
-        start = len(self.image.data)
-        saved = tuple(map(self.env.get, entry[1]))
-        self.fixups.append(
-            (start, start + nbytes, joined, entry, saved, len(self.diagnostics))
-        )
-        self.image.data += bytes(nbytes)
+    def _defer(self, names, waiting) -> None:
+        """Record the fixup of one line run whose values in waiting, as
+        (start, nbytes, fixup entry), were written as zeros."""
+        saved = tuple(map(self.env.get, names))
+        self.fixups.append((len(self.diagnostics), names, saved, *waiting))
 
     def patch(self) -> None:
         """Evaluate the fixups in order and write them in place.
 
         Within one run of a line every value is evaluated before any is
         range-checked, as when the line's values are written directly.
+        The first that fails cuts the log back to that line run's mark.
         """
         labels, data = self.labels, self.image.data
-        seen: dict[str, Value] = {}
 
         def lookup(name: str) -> Optional[Value]:
             value = seen.get(name)
             return labels.get(name) if value is None else value
 
-        unfit = None  # (error, log length) of the current line run
-        for start, end, joined, entry, saved, mark in self.fixups:
-            if unfit is not None and not joined:
-                break
-            fn, names, size, pos = entry
-            seen = {n: v for n, v in zip(names, saved) if v is not None}
+        for mark, names, saved, *waiting in self.fixups:
+            seen = dict(zip(names, saved))
             try:
-                value = fn(lookup)
-            except EvalError:
+                got = [entry[0](lookup) for _, _, entry in waiting]
+                for (start, nbytes, (_, size, pos)), value in zip(waiting, got):
+                    unit = self._unit_bytes(value, size, pos)
+                    data[start : start + nbytes] = unit * (nbytes // size)
+            except TranslationError:
                 del self.diagnostics[mark:]
                 raise
-            try:
-                unit = self._unit_bytes(value, size, pos)
-            except EmitError as exc:
-                unfit = unfit or (exc, mark)
-                continue
-            data[start:end] = unit * ((end - start) // size)
-        if unfit is not None:
-            del self.diagnostics[unfit[1] :]
-            raise unfit[0]
 
     def _unit_bytes(self, v: int, size: int, pos: Position) -> bytes:
         bits = 8 * size

@@ -3,8 +3,9 @@
 One interpreter executes the structural directives (if/elif/else/endif,
 while/endw, repeat/until, break) plus print and error, whatever the
 prefix character.  It evaluates their conditions, counts and values
-itself, through the lookup the phase hands it, and appends print and
-error reports to the phase's diagnostics list.  A phase meets the engine
+itself, through the lookup the phase hands it.  A print appends its
+line to the phase's diagnostics list; an error raises UserAbort, which
+the driver reports like any other fault.  A phase meets the engine
 at one point, its compile hook: compile_line(line) turns any other line,
 including a directive key the engine does not know, into an op.  Running
 an op does what the line means to the phase and returns the Program to
@@ -270,9 +271,7 @@ class ControlEngine:
             self.diagnostics.append(self._format(arg))
             prog.pc += 1
         else:  # error
-            message = self._format(arg)
-            self.diagnostics.append(f"{pos.file}:{pos.line}: {message}")
-            raise UserAbort(message, pos)
+            raise UserAbort(self._format(arg), pos)
 
     def _count(self, count, pos: Position, what: str) -> int:
         value = count(self.lookup)

@@ -1,9 +1,10 @@
 """Error types shared by every stage of the translator.
 
-All user-visible failures derive from TranslationError and carry a source
-position so the driver can print one uniform "file:line:col: message"
-diagnostic.  InternalError deliberately does not: it marks a broken
-invariant inside the translator itself, not a mistake in the input.
+Every fault in the input or the invocation is a TranslationError and
+carries a source position, so the driver prints it as one uniform
+"file:line:col: message" diagnostic.  Any other exception that reaches
+the driver is a bug in the translator itself, reported as an internal
+error.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ class EvalError(TranslationError):
     """Expression could not be evaluated."""
 
 
-class UnresolvedNameError(EvalError):
-    """A name had no value at evaluation time; `name` holds it.
-
-    The destination phase does not treat it apart from other EvalErrors:
-    any of them in a data value or reserve fill defers that value to the
-    end of the run, and anywhere else it is the translation's error.
-    """
-
-    def __init__(self, name: str, pos: Position = NO_POS) -> None:
-        super().__init__(f"undefined name '{name}'", pos)
-        self.name = name
-
-
 class StructureError(TranslationError):
     """Ill-formed nesting: unmatched directives, stray braces, bad patterns."""
 
@@ -71,12 +59,11 @@ class LimitError(TranslationError):
 
 
 class UserAbort(TranslationError):
-    """Raised by the error directive after its message has been reported."""
+    """Raised by the error directive; it names the file and line only."""
+
+    def __str__(self) -> str:
+        return f"{self.pos.file}:{self.pos.line}: {self.message}"
 
 
 class UsageError(TranslationError):
     """Bad command line."""
-
-
-class InternalError(Exception):
-    """An invariant of the translator itself failed.  Never user-caused."""

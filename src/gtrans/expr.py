@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Optional, Union
 
-from .errors import EvalError, LimitError, NO_POS, Position, UnresolvedNameError
+from .errors import EvalError, LimitError, NO_POS, Position
 from .lexer import Token, TokenKind, dotted_name, dotted_name_end
 
 Value = Union[int, str]
@@ -110,7 +110,7 @@ def _fetch(name: str, pos: Position) -> Expr:
     def fetch(lookup):
         value = lookup(name)
         if value is None:
-            raise UnresolvedNameError(name, pos)
+            raise EvalError(f"undefined name '{name}'", pos)
         return value
 
     return fetch

@@ -49,23 +49,23 @@ def bind_texts(binding):
 
 
 def test_parse_simple_pattern():
-    fixed, variadic = parse_pattern(toks("x + y"), NO_POS)
+    fixed, variadic = parse_pattern(toks("x + y"))
     assert fixed == (Param("x"), Sep(("+",)), Param("y"))
     assert variadic is None
 
 
 def test_parse_merges_separator_runs():
-    fixed, _ = parse_pattern(toks("x , := y"), NO_POS)
+    fixed, _ = parse_pattern(toks("x , := y"))
     assert fixed == (Param("x"), Sep((",", ":=")), Param("y"))
 
 
 def test_parse_adjacent_params():
-    fixed, _ = parse_pattern(toks("a b"), NO_POS)
+    fixed, _ = parse_pattern(toks("a b"))
     assert fixed == (Param("a"), Param("b"))
 
 
 def test_parse_variadic():
-    fixed, variadic = parse_pattern(toks("x , .. rest"), NO_POS)
+    fixed, variadic = parse_pattern(toks("x , .. rest"))
     assert fixed == (Param("x"), Sep((",",)))
     assert variadic == "rest"
 
@@ -76,14 +76,14 @@ def test_parse_variadic():
 )
 def test_parse_rejections(pattern):
     with pytest.raises(StructureError):
-        parse_pattern(toks(pattern), NO_POS)
+        parse_pattern(toks(pattern))
 
 
 @pytest.mark.parametrize(
     "header, fault",
     [
         ("class f .. ,", "1:12: expected a parameter name after '..'"),
-        ("class f x ..", "1:1: expected a parameter name after '..'"),
+        ("class f x ..", "1:11: expected a parameter name after '..'"),
         ("class f x .. , x", "1:14: expected a parameter name after '..'"),
         ("class f x x", "1:11: duplicate parameter 'x'"),
         ("class f x .. x", "1:14: duplicate parameter 'x'"),

@@ -479,6 +479,23 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "nope" in err and "p.src:1:" in err
 
 
+def test_translator_bug_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # an exception that is no fault of the input ends the run as exit 2,
+    # reported by its type, with no traceback and no output written
+    def broken(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr("gtrans.cli.run_source_phase", broken)
+    report, data = run_files(tmp_path, "db 1\n")
+    assert report.status == "internal-error"
+    assert report.diagnostics == ["internal error: KeyError: 'x'"]
+    assert data is None
+    out = tmp_path / "p.bin"
+    assert main(["--in", str(tmp_path / "prog.src"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "internal error: KeyError: 'x'\n"
+    assert not out.exists()
+
+
 def test_main_reads_stdin_and_writes_stdout(monkeypatch, capsysbinary):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"db 7\n")))
     assert main(["--in", "-"]) == 0

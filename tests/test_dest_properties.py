@@ -2,8 +2,8 @@
 
 Random '@' programs built from labels, forward-referencing data and
 reserve fills, assignments, '@if'/'@while', '@print' and '@error' must
-either translate or fail with a TranslationError.  Anything else is a
-translator bug: an InternalError, a RecursionError or a stray exception.
+either translate or fail with a TranslationError.  Any other exception
+is a translator bug, which the driver reports as an internal error.
 """
 
 import pytest

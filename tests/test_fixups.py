@@ -7,7 +7,7 @@ front: the bytes, the first error, and the log printed before it.
 """
 
 from gtrans.dest_phase import run_dest_phase
-from gtrans.errors import TranslationError, UserAbort
+from gtrans.errors import TranslationError
 from gtrans.lexer import tokenize_lines
 
 
@@ -20,8 +20,6 @@ def printed(src, **kw):
     log = []
     try:
         run_dest_phase(tokenize_lines(src, "t.s"), {}, diagnostics=log, **kw)
-    except UserAbort:
-        pass  # the directive logged its own message
     except TranslationError as exc:
         log.append(str(exc))
     return log

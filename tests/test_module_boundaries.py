@@ -1,12 +1,14 @@
 """No gtrans module reaches into another module's private names, every
-private name a module defines is read somewhere in it, and every name it
-exports is read somewhere else."""
+private name a module defines is read somewhere in it, every name it
+exports is read somewhere else, and another module constructs every
+error type."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import gtrans
+from gtrans import errors
 
 SRC = Path(gtrans.__file__).parent
 
@@ -267,3 +269,38 @@ def test_every_export_is_read_elsewhere():
     }
     assert len(others) >= 10
     assert dead_exports(modules, others) == []
+
+
+def called_names(source):
+    """Every name that source calls, by name or as an attribute."""
+    return {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_checker_finds_called_names():
+    src = "raise EvalError('x')\nerrors.LexError()\nfailing(EmitError, 'm')\n"
+    assert called_names(src) == {"EvalError", "LexError", "failing"}
+
+
+def test_every_error_type_is_constructed_elsewhere():
+    # an error type that no other module constructs is one no run can end in
+    defined = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    ]
+    assert "TranslationError" in defined
+    called = set().union(
+        *(
+            called_names(path.read_text())
+            for path in sorted(SRC.rglob("*.py"))
+            if path.name != "errors.py"
+        )
+    )
+    assert [name for name in defined if name not in called] == []
