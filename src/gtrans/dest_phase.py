@@ -95,12 +95,12 @@ def _collect_guards(lines, structure):
             continue
         if base == "if":
             block = structure[idx]
-            if block.arms or block.else_idx is not None:
+            if block.arms:
                 raise StructureError(
                     "a guarded block cannot take elif or else", line.pos
                 )
             regions.append((name, idx, block.close_idx))
-        elif base in ("elif", "while", "until"):
+        elif base in ("elif", "while", "repeat", "until"):
             raise StructureError(
                 "a guard can only open its own block", line.pos
             )

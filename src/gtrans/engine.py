@@ -24,11 +24,13 @@ Block structure is resolved before a program runs: every open directive
 is matched with its arms and its closing line up front, so a dangling
 '#endif', a bare '#repeat ... #until' or an '#else' with arguments fails
 fast even when execution would never reach it.  build_structure
-returns one map from each structural line (opener, arm, else, closer,
-break) to its block, a break's block being the innermost loop around
-it, so a running loop keeps only its pass counter.  A loop's opening
-line runs once, on entry; its closing line ('#endw' re-testing the
-while condition, or '#until') decides the next pass.
+returns one map from each opener, arm and closer to its block, and from
+each break to the loops around it, innermost first, so a running loop
+keeps only its pass counter.  The engine takes one step per line: it
+moves the pc past a line when it fetches it, and a directive that jumps
+sets an absolute target.  A loop's opening line runs once, on entry;
+its closing line ('#endw' re-testing the while condition, or '#until')
+decides the next pass.
 
 A line is compiled when it runs, by _compiled: one of the engine's
 directives to its (key, compiled argument, position) tuple, any other
@@ -68,10 +70,9 @@ class Limits:
 class Block:
     kind: str                      # "if" | "while" | "repeat"
     open_idx: int
-    arms: list[int] = field(default_factory=list)
-    else_idx: Optional[int] = None
+    arms: list[int] = field(default_factory=list)  # elifs, then the else
+    else_idx: Optional[int] = None  # the else again, for the order checks
     close_idx: int = -1
-    outer: Optional[Block] = None  # the innermost loop around this block
 
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
@@ -82,18 +83,19 @@ _KEYS = {*_OPENERS, *_CLOSERS, "elif", "else", "break", "print", "error"}
 _SEEN = object()
 
 
-def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
+def build_structure(
+    lines, directive_kind: LineKind
+) -> dict[int, Block | list[Block]]:
     """Match every structural directive with its closing line.
 
     Returns a map from each opening, elif, else and closing line to its
-    block, and from each break line to the innermost loop around it.
-    Only lines of directive_kind take part; every other line is content
-    to the engine.  An else, endif or endw line with anything after its
-    key is a fault here too.
+    block, and from each break line to the loops around it, innermost
+    first (empty outside any loop).  Only lines of directive_kind take
+    part; every other line is content to the engine.  An else, endif or
+    endw line with anything after its key is a fault here too.
     """
-    structure: dict[int, Block] = {}
+    structure: dict[int, Block | list[Block]] = {}
     stack: list[Block] = []
-    loop: Optional[Block] = None
     for idx, line in enumerate(lines):
         if line.kind is not directive_kind:
             continue
@@ -105,12 +107,9 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
                 f"'{name}' takes no arguments", line.tokens[1].pos
             )
         if base in _OPENERS:
-            stack.append(Block(base, idx, outer=loop))
-            if base != "if":
-                loop = stack[-1]
+            stack.append(Block(base, idx))
         elif base == "break":
-            if loop is not None:
-                structure[idx] = loop
+            structure[idx] = [b for b in reversed(stack) if b.kind != "if"]
         elif base in ("elif", "else"):
             if not stack or stack[-1].kind != "if":
                 raise StructureError(f"'{name}' without a matching if", pos)
@@ -122,8 +121,7 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
                 )
             if base == "else":
                 block.else_idx = idx
-            else:
-                block.arms.append(idx)
+            block.arms.append(idx)
         elif base in _CLOSERS:
             if not stack or stack[-1].kind != _CLOSERS[base]:
                 raise StructureError(f"unexpected '{name}'", pos)
@@ -136,7 +134,6 @@ def build_structure(lines, directive_kind: LineKind) -> dict[int, Block]:
                 )
             block.close_idx = idx
             structure[block.open_idx] = structure[idx] = block
-            loop = block.outer
     if stack:
         block = stack[-1]
         name = lines[block.open_idx].tokens[0].text
@@ -153,7 +150,7 @@ class Program:
     Pushing it again reuses both; only one push of it runs at a time."""
 
     lines: list[Line]
-    structure: Optional[dict[int, Block]] = None
+    structure: Optional[dict[int, Block | list[Block]]] = None
     # compiled forms by line, kept as the module docstring says
     ops: dict[Line, object] = field(default_factory=dict)
     pc: int = 0
@@ -202,18 +199,17 @@ class ControlEngine:
             if pc >= len(prog.lines):
                 self.stack.pop()
                 continue
+            prog.pc = pc + 1
             line = prog.lines[pc]
             if line.kind is LineKind.BLANK:
-                prog.pc = pc + 1
                 continue
             op = self._compiled(prog, pc)
             if type(op) is tuple:
-                self._directive(prog, *op)
+                self._directive(prog, pc, *op)
                 continue
             program = op()
             if program is not None:
                 self.push(program, line.pos)
-            prog.pc = pc + 1
 
     def _compiled(self, prog: Program, pc: int):
         """The compiled form of line pc of prog: kept with prog from the
@@ -248,29 +244,28 @@ class ControlEngine:
 
     # -- directive semantics --
 
-    def _directive(self, prog: Program, base: str, arg, pos: Position) -> None:
+    def _directive(self, prog: Program, pc: int, base: str, arg, pos):
+        """Run line pc, a directive; the pc is past it, so endif is done."""
+        entry = prog.structure.get(pc)
         if base == "if":
-            self._enter_conditional(prog, arg)
+            self._enter_conditional(prog, entry, arg)
         elif base in ("elif", "else"):
             # reached by falling out of the arm that ran
-            prog.pc = prog.structure[prog.pc].close_idx + 1
-        elif base == "endif":
-            prog.pc += 1
+            prog.pc = entry.close_idx + 1
         elif base == "while":
-            prog.loops[prog.pc] = [0, None]
-            self._while(prog, prog.structure[prog.pc])
+            prog.loops[pc] = [0, None]
+            self._while(prog, entry)
         elif base == "endw":
-            self._while(prog, prog.structure[prog.pc])
+            self._while(prog, entry)
         elif base == "repeat":
-            self._repeat(prog, arg, pos)
+            self._repeat(prog, entry, arg, pos)
         elif base == "until":
-            self._until(prog, arg, pos)
+            self._until(prog, entry, arg, pos)
         elif base == "break":
-            self._break(prog, arg, pos)
+            self._break(prog, entry, arg, pos)
         elif base == "print":
             self.diagnostics.append(self._format(arg))
-            prog.pc += 1
-        else:  # error
+        elif base == "error":
             raise UserAbort(self._format(arg), pos)
 
     def _count(self, count, pos: Position, what: str) -> int:
@@ -284,36 +279,30 @@ class ControlEngine:
             v if isinstance(v, str) else str(v) for v in values(self.lookup)
         )
 
-    def _enter_conditional(self, prog: Program, cond) -> None:
-        block = prog.structure[prog.pc]
+    def _enter_conditional(self, prog: Program, block: Block, cond) -> None:
         if truthy(cond(self.lookup)):
-            prog.pc += 1
             return
         for arm_idx in block.arms:
             _, arm_cond, _ = self._compiled(prog, arm_idx)
-            if truthy(arm_cond(self.lookup)):
+            if arm_cond is None or truthy(arm_cond(self.lookup)):  # else
                 prog.pc = arm_idx + 1
                 return
-        if block.else_idx is not None:
-            prog.pc = block.else_idx + 1
-        else:
-            prog.pc = block.close_idx + 1
+        prog.pc = block.close_idx + 1
 
     def _while(self, prog: Program, block: Block) -> None:
         _, cond, pos = self._compiled(prog, block.open_idx)
         self._next_pass(prog, block, truthy(cond(self.lookup)), pos)
 
-    def _repeat(self, prog: Program, count, pos: Position) -> None:
+    def _repeat(self, prog: Program, block: Block, count, pos: Position):
         times: Optional[int] = None
         if count is not None:
             times = self._count(count, pos, "repeat count")
             if times < 0:
                 raise EvalError("negative repeat count", pos)
-        prog.loops[prog.pc] = [0, times]
-        self._next_pass(prog, prog.structure[prog.pc], times != 0, pos)
+        prog.loops[block.open_idx] = [0, times]
+        self._next_pass(prog, block, times != 0, pos)
 
-    def _until(self, prog: Program, cond, pos: Position) -> None:
-        block = prog.structure[prog.pc]
+    def _until(self, prog: Program, block: Block, cond, pos: Position):
         passes, times = prog.loops[block.open_idx]
         done = cond is not None and truthy(cond(self.lookup))
         again = not done and (times is None or passes < times)
@@ -335,22 +324,18 @@ class ControlEngine:
             )
         prog.pc = block.open_idx + 1
 
-    def _break(self, prog: Program, count, pos: Position) -> None:
+    def _break(self, prog: Program, loops: list[Block], count, pos: Position):
         level = 1
         if count is not None:
             level = self._count(count, pos, "break level")
-        loop = prog.structure.get(prog.pc)
-        if loop is None:
+        if not loops:
             raise StructureError("break outside of a loop", pos)
         if level < 0:
             raise StructureError("negative break level", pos)
         if level == 0:
             # continue: hand control to the innermost closing line
-            prog.pc = loop.close_idx
+            prog.pc = loops[0].close_idx
             return
-        loops = [loop]
-        while loops[-1].outer is not None:
-            loops.append(loops[-1].outer)
         if level > len(loops):
             raise StructureError(
                 f"break level {level} exceeds loop nesting {len(loops)}", pos

@@ -5,9 +5,12 @@
 Runs pytest in this process under sys.settrace and records every line
 executed in a src/gtrans/*.py module.  A module's executable lines are
 the lines its code objects map instructions to (co_lines()), nested
-functions and classes included.  The report lists each executable line
-that never ran as file:line, then one summary line.  It exits 0 when
-the suite passed and 1 when it did not.
+functions and classes included, less the body of any
+'if __name__ == "__main__":' block, found from the module's AST: the
+suite imports a module and never runs it as a script.  The report lists
+each executable line that never ran as file:line, then one summary
+line.  It exits 0 when the suite passed and every executable line ran,
+and 1 otherwise.
 
 test_translate_leaves_no_cyclic_garbage is deselected: it asserts that
 a translation leaves nothing for gc.collect() to free, and under
@@ -15,6 +18,7 @@ sys.settrace every one of its cases fails that check.  PYTEST_ARGS
 replace the default selection (the whole tests/ directory, quiet).
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -24,13 +28,21 @@ DESELECTED = "tests/test_cli.py::test_translate_leaves_no_cyclic_garbage"
 
 
 def executable_lines(path: Path) -> set[int]:
-    """Every line some instruction of the module's code objects maps to."""
+    """Every line some instruction of the module's code objects maps to,
+    outside the body of an 'if __name__ == "__main__":' block."""
+    text = path.read_text()
     lines: set[int] = set()
-    codes = [compile(path.read_text(), str(path), "exec")]
+    codes = [compile(text, str(path), "exec")]
     while codes:
         code = codes.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
         codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"):
+            lines.difference_update(
+                range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+            )
     return lines
 
 
@@ -74,7 +86,7 @@ def main(argv) -> int:
         f"{PACKAGE.relative_to(REPO)} ran; {missed} did not "
         f"(pytest exit status {status})"
     )
-    return 0 if status == 0 else 1
+    return 0 if status == 0 and missed == 0 else 1
 
 
 if __name__ == "__main__":

@@ -513,6 +513,7 @@ def test_guard_with_arms_rejected(src):
     [
         "@while [P]\ndb 1\n@endw\n",
         "@repeat\ndb 1\n@until [P]\n",
+        "@repeat [P]\ndb 1\n@until 1\n",
         "@if 0\n@elif [P]\ndb 1\n@endif\n",
     ],
 )

@@ -299,6 +299,73 @@ def test_negative_break_level_rejected():
         run("#while 1\n#break 0 - 1\n#endw\n")
 
 
+def emitted(src):
+    """The bytes of src after both phases."""
+    stream, _, _, _ = run(src)
+    return run_dest_phase(stream).data
+
+
+# spelled with prefix {0}: a 'break {1}' inside an if, inside a repeat,
+# inside an if that sits between that repeat and a while
+_BREAK_IN_IFS = (
+    "n = 0\n"
+    "{0}while n < 3\n"
+    "n = n + 1\n"
+    "db n\n"
+    "{0}if n > 1\n"
+    "{0}repeat 5\n"
+    "db 10\n"
+    "{0}if 1\n"
+    "{0}break {1}\n"
+    "{0}endif\n"
+    "db 20\n"
+    "{0}until\n"
+    "db 30\n"
+    "{0}endif\n"
+    "db 40\n"
+    "{0}endw\n"
+    "db 50\n"
+)
+
+
+@pytest.mark.parametrize("prefix", ["#", "@"])
+def test_break_counts_loops_not_ifs(prefix):
+    # only the loops count as levels, so 2 leaves both
+    data = emitted(_BREAK_IN_IFS.format(prefix, 2))
+    assert data == bytes([1, 40, 2, 10, 50])
+
+
+@pytest.mark.parametrize("prefix", ["#", "@"])
+def test_break_beyond_loops_between_ifs_rejected(prefix):
+    with pytest.raises(StructureError) as exc:
+        emitted(_BREAK_IN_IFS.format(prefix, 3))
+    assert str(exc.value) == "t.s:9:1: break level 3 exceeds loop nesting 2"
+
+
+@pytest.mark.parametrize("prefix", ["#", "@"])
+def test_break_zero_in_else_after_false_elifs_restarts_loop(prefix):
+    src = (
+        "i = 0\n"
+        "n = 0\n"
+        "{0}while i < 4\n"
+        "i = i + 1\n"
+        "{0}if i = 2\n"
+        "db 2\n"
+        "{0}elif i = 9\n"
+        "db 9\n"
+        "{0}elif i = 8\n"
+        "db 8\n"
+        "{0}else\n"
+        "{0}break 0\n"
+        "{0}endif\n"
+        "n = n + 1\n"
+        "db n\n"
+        "{0}endw\n"
+        "db 100 + i, 100 + n\n"
+    )
+    assert emitted(src.format(prefix)) == bytes([2, 1, 104, 101])
+
+
 # -- structure faults ------------------------------------------------------
 
 
