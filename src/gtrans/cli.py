@@ -170,16 +170,16 @@ def translate(config: TranslatorConfig) -> RunReport:
 # -- output formats ---------------------------------------------------------
 
 
-def _ascii(chunk: bytes) -> str:
-    return "".join(chr(b) if 0x20 <= b < 0x7F else "." for b in chunk)
+# each byte as its character in the '|ascii|' column of a hex dump
+_ASCII = bytes(b if 0x20 <= b < 0x7F else ord(".") for b in range(256))
 
 
 def _hex_dump(data: bytes) -> str:
     out = []
+    text = data.translate(_ASCII).decode("ascii")
     for off in range(0, len(data), 16):
-        chunk = data[off : off + 16]
-        cells = " ".join(f"{b:02x}" for b in chunk)
-        out.append(f"{off:08x}: {cells:<47}  |{_ascii(chunk)}|")
+        cells = data[off : off + 16].hex(" ")
+        out.append(f"{off:08x}: {cells:<47}  |{text[off : off + 16]}|")
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -3,22 +3,24 @@
 The intermediate stream is executed once.  The engine hands every line
 that is not one of its directives to compile, its one hook, which turns
 it into a closure that runs it; an '@' key the engine does not know is
-an error there.  Every expression sees the symbols assigned so far, then
-the labels defined so far.  Conditions, assignment right sides and
-reserve counts never look forward, so each label's offset and each
-line's size are known when the line runs.
+an error there.  Expressions look names up in one table: an assignment
+writes it and a label only adds a name it lacks, so a symbol shadows a
+label in either order.  Conditions, assignment right sides and reserve
+counts never look forward, so each label's offset and each line's size
+are known when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
-evaluation fails is written as zero units, and each run of a line that
-defers values leaves one fixup record: the log length, the values the
-line's names had then, and where each deferred value's bytes are, with
-its compiled expression.  When the run ends, normally or at '@error',
-the records are patched in order against those values and the labels
-defined by then: every value of one is evaluated before any is
-range-checked under strict and written in place.  The first that fails
-is the translation's error, and the log is cut back to what it held
-when that line ran.  An error raised by a line during the run ends the
-translation before any fixup is evaluated.
+evaluation fails, or would (it reads an undefined name outside the
+right side of every '&&' and '||'), is written as zero units, and each
+run of a line that defers values leaves one fixup record: the log
+length, the values the line's names had then, and where each deferred
+value's bytes are, with its compiled expression.  When the run ends,
+normally or at '@error', the records are patched in order against those
+values and the labels defined by then: every value of one is evaluated
+before any is range-checked under strict and written in place.  The
+first that fails is the translation's error, and the log is cut back to
+what it held when that line ran.  An error raised by a line during the
+run ends the translation before any fixup is evaluated.
 
 Before the run, '@if [name]' blocks are treated as guarded regions:
 a region stays only while its name is referenced from somewhere outside
@@ -100,7 +102,7 @@ def _collect_guards(lines, structure):
                     "a guarded block cannot take elif or else", line.pos
                 )
             regions.append((name, idx, block.close_idx))
-        elif base in ("elif", "while", "repeat", "until"):
+        elif base in ("elif", "while", "repeat", "until", "break"):
             raise StructureError(
                 "a guard can only open its own block", line.pos
             )
@@ -160,7 +162,9 @@ def resolve_guarded_regions(lines) -> tuple[list[int], set[str]]:
 
 class _DestHandler:
     def __init__(self, env, image, diagnostics, limits):
-        self.env: dict[str, Value] = env
+        # every name defined so far: a symbol's value, or else a label's
+        self.seen: dict[str, Value] = env
+        self.lookup = self.seen.get
         self.image: EmitImage = image
         self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
@@ -168,10 +172,6 @@ class _DestHandler:
         # one flat record per line run that deferred values: (log length,
         #  the line's names, their values, (start, nbytes, fixup entry)...)
         self.fixups: list[tuple] = []
-
-    def lookup(self, name: str) -> Optional[Value]:
-        value = self.env.get(name)
-        return self.labels.get(name) if value is None else value
 
     # -- the engine's compile hook: a line into a closure that runs it --
 
@@ -198,17 +198,18 @@ class _DestHandler:
         tokens = line.tokens
         eq = dotted_name_end(tokens)
         name, rhs = dotted_name(tokens[:eq]), compile_expr(tokens[eq + 1 :])
-        env, lookup = self.env, self.lookup
+        seen, lookup = self.seen, self.lookup
 
         def assign():
-            env[name] = rhs(lookup)
+            seen[name] = rhs(lookup)
 
         return assign
 
     def _define_label(self, name: str, pos: Position) -> None:
         if name in self.labels:
             raise TranslationError(f"duplicate label '{name}'", pos)
-        self.labels[name] = len(self.image.data)
+        offset = self.labels[name] = len(self.image.data)
+        self.seen.setdefault(name, offset)
 
     def _labeled_data(self, line: Line):
         tokens = line.tokens
@@ -245,15 +246,16 @@ class _DestHandler:
             fault = failing(
                 EmitError, f"'{keyword}' needs at least one value", pos
             )
-        # fixup entry of each value: (closure, unit size, pos)
-        entries = [(fn, size, pos) for fn, _, _ in values]
-        names = tuple(dict.fromkeys(n for *_, ns in values for n in ns))
+        # fixup entry of each value: (closure, unit size, pos, reads)
+        entries = [(fn, size, pos, reads) for fn, _, _, reads in values]
+        names = tuple(dict.fromkeys(n for _, _, ns, _ in values for n in ns))
 
         def emit():
             if fault is not None:
                 fault(self.lookup)
             # every value is evaluated before any is written
-            got = [0 if e[0] is None else self._now(e[0]) for e in entries]
+            got = [0 if fn is None else self._now(fn, reads)
+                   for fn, _, _, reads in entries]
             waiting = []
             for entry, value in zip(entries, got):
                 if value is None:
@@ -276,7 +278,7 @@ class _DestHandler:
         if not values:
             count = failing(EmitError, "reserve needs a count", pos)
         else:
-            count, end, _ = values[0]
+            count, end, *_ = values[0]
             if count is None:
                 qpos = args[end - 1].pos
                 count = failing(EvalError, "unexpected '?'", qpos)
@@ -285,8 +287,8 @@ class _DestHandler:
             late = failing(EmitError, message, pos)
         fill = None  # fixup entry of the fill; None for no fill or '?'
         if len(values) == 2 and values[1][0] is not None:
-            fn, _, names = values[1]
-            fill = (fn, size, pos)
+            fn, _, names, reads = values[1]
+            fill = (fn, size, pos, reads)
 
         def reserve():
             n = count(self.lookup)
@@ -300,7 +302,7 @@ class _DestHandler:
                 )
             if late is not None:
                 late(self.lookup)
-            value = 0 if fill is None else self._now(fill[0])
+            value = 0 if fill is None else self._now(fill[0], fill[3])
             if value is None:
                 self._defer(names, [(len(self.image.data), size * n, fill)])
                 self.image.data += bytes(size * n)
@@ -313,8 +315,11 @@ class _DestHandler:
 
     # -- running values --
 
-    def _now(self, fn) -> Optional[Value]:
-        """The value of fn now, or None when it has to wait."""
+    def _now(self, fn, reads) -> Optional[Value]:
+        """The value of fn now, or None when it has to wait: without
+        running it when a name in reads is not defined yet."""
+        if None in map(self.lookup, reads):
+            return None
         try:
             return fn(self.lookup)
         except EvalError:
@@ -323,7 +328,7 @@ class _DestHandler:
     def _defer(self, names, waiting) -> None:
         """Record the fixup of one line run whose values in waiting, as
         (start, nbytes, fixup entry), were written as zeros."""
-        saved = tuple(map(self.env.get, names))
+        saved = tuple(map(self.lookup, names))
         self.fixups.append((len(self.diagnostics), names, saved, *waiting))
 
     def patch(self) -> None:
@@ -334,18 +339,15 @@ class _DestHandler:
         The first that fails cuts the log back to that line run's mark.
         """
         labels, data = self.labels, self.image.data
-
-        def lookup(name: str) -> Optional[Value]:
-            value = seen.get(name)
-            return labels.get(name) if value is None else value
-
         for mark, names, saved, *waiting in self.fixups:
-            seen = dict(zip(names, saved))
+            # a name undefined when the line ran reads the final labels
+            lookup = {n: labels.get(n) if v is None else v
+                      for n, v in zip(names, saved)}.get
             try:
                 got = [entry[0](lookup) for _, _, entry in waiting]
-                for (start, nbytes, (_, size, pos)), value in zip(waiting, got):
+                for (at, n, (_, size, pos, _)), value in zip(waiting, got):
                     unit = self._unit_bytes(value, size, pos)
-                    data[start : start + nbytes] = unit * (nbytes // size)
+                    data[at : at + n] = unit * (n // size)
             except TranslationError:
                 del self.diagnostics[mark:]
                 raise

@@ -28,9 +28,11 @@ returns one map from each opener, arm and closer to its block, and from
 each break to the loops around it, innermost first, so a running loop
 keeps only its pass counter.  The engine takes one step per line: it
 moves the pc past a line when it fetches it, and a directive that jumps
-sets an absolute target.  A loop's opening line runs once, on entry;
-its closing line ('#endw' re-testing the while condition, or '#until')
-decides the next pass.
+sets an absolute target.  run steps the top program in an inner loop
+that calls _compiled only on a miss in its ops and leaves only to push
+or pop, so fetch stays the one point every line passes.  A loop's
+opening line runs once, on entry; its closing line ('#endw' re-testing
+the while condition, or '#until') decides the next pass.
 
 A line is compiled when it runs, by _compiled: one of the engine's
 directives to its (key, compiled argument, position) tuple, any other
@@ -191,25 +193,30 @@ class ControlEngine:
         self.stack.append(program)
 
     def run(self, lines: Sequence[Line]) -> None:
-        self.stack = []
+        self.stack = stack = []
         self.push(Program(list(lines)), NO_POS)
-        while self.stack:
-            prog = self.stack[-1]
-            pc = prog.pc
-            if pc >= len(prog.lines):
-                self.stack.pop()
-                continue
-            prog.pc = pc + 1
-            line = prog.lines[pc]
-            if line.kind is LineKind.BLANK:
-                continue
-            op = self._compiled(prog, pc)
-            if type(op) is tuple:
-                self._directive(prog, pc, *op)
-                continue
-            program = op()
-            if program is not None:
-                self.push(program, line.pos)
+        while stack:
+            prog = stack[-1]
+            lines, ops, end = prog.lines, prog.ops, len(prog.lines)
+            while True:  # the top program, until it pushes or ends
+                pc = prog.pc
+                if pc >= end:
+                    stack.pop()
+                    break
+                prog.pc = pc + 1
+                line = lines[pc]
+                op = ops.get(line)
+                if op is None or op is _SEEN:
+                    if line.kind is LineKind.BLANK:
+                        continue
+                    op = self._compiled(prog, pc)
+                if type(op) is tuple:
+                    self._directive(prog, pc, *op)
+                    continue
+                program = op()
+                if program is not None:
+                    self.push(program, line.pos)
+                    break
 
     def _compiled(self, prog: Program, pc: int):
         """The compiled form of line pc of prog: kept with prog from the

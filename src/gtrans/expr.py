@@ -16,7 +16,9 @@ faults of what was read before it first, in reading order, exactly as
 evaluating while parsing would.  A skipped side of '&&'/'||' is not
 run, so its value faults stay silent, but a parse fault in it still
 raises.  A run of operators of one precedence compiles to one loop, so
-a long flat expression runs without deep recursion.
+a long flat expression runs without deep recursion, and a run of one
+step needs none.  A step wraps its result inline; '+ - * & | ^' call
+operator module functions, so they run no Python frame but the step.
 """
 
 from __future__ import annotations
@@ -72,33 +74,35 @@ def _raise(exc: Exception):
         del exc  # the traceback holds this frame: break the cycle
 
 
-# each binary operator: (precedence, function of (a, b, position of the
-# operator) on two integers; '+' also joins two strings).  '&&' and '||'
-# have no function: they short-circuit.
+# each binary operator: (precedence, function on two integers; '+' also
+# joins two strings).  '&&' and '||' have no function: they short-circuit.
+# A step wraps the result.  The _BUILTIN functions, from the operator
+# module, take (a, b); every other takes (a, b, position of the operator).
 _BINARY = {
     "||": (1, None),
     "&&": (2, None),
-    "|": (3, lambda a, b, pos: wrap64(a | b)),
-    "^": (4, lambda a, b, pos: wrap64(a ^ b)),
-    "&": (5, lambda a, b, pos: wrap64(a & b)),
+    "|": (3, operator.or_),
+    "^": (4, operator.xor),
+    "&": (5, operator.and_),
     "=": (6, lambda a, b, pos: 1 if a == b else 0),
     "!=": (6, lambda a, b, pos: 1 if a != b else 0),
     "<": (7, lambda a, b, pos: 1 if a < b else 0),
     "<=": (7, lambda a, b, pos: 1 if a <= b else 0),
     ">": (7, lambda a, b, pos: 1 if a > b else 0),
     ">=": (7, lambda a, b, pos: 1 if a >= b else 0),
-    "<<": (8, lambda a, b, pos: wrap64(a << b) if 0 <= b <= 63
+    "<<": (8, lambda a, b, pos: a << b if 0 <= b <= 63
            else _raise(EvalError("shift count out of range", pos))),
     ">>": (8, lambda a, b, pos: a >> b if 0 <= b <= 63
            else _raise(EvalError("shift count out of range", pos))),
-    "+": (9, lambda a, b, pos: wrap64(a + b)),
-    "-": (9, lambda a, b, pos: wrap64(a - b)),
-    "*": (10, lambda a, b, pos: wrap64(a * b)),
-    "/": (10, lambda a, b, pos: wrap64(_trunc_div(a, b))
+    "+": (9, operator.add),
+    "-": (9, operator.sub),
+    "*": (10, operator.mul),
+    "/": (10, lambda a, b, pos: _trunc_div(a, b)
           if b else _raise(EvalError("division by zero", pos))),
-    "%": (10, lambda a, b, pos: wrap64(a - _trunc_div(a, b) * b)
+    "%": (10, lambda a, b, pos: a - _trunc_div(a, b) * b
           if b else _raise(EvalError("modulo by zero", pos))),
 }
+_BUILTIN = ("|", "^", "&", "+", "-", "*")
 
 
 def failing(cls, message: str, pos: Position) -> Expr:
@@ -152,11 +156,13 @@ def _step(tok: Token, fault: Optional[Expr]):
         message = "operator '+' needs two integers or two strings"
     else:
         message = f"operator '{op}' needs integer operands"
+    builtin = op in _BUILTIN
 
     def arith(a, right, lookup):
         b = right(lookup)
         if isinstance(a, int) and isinstance(b, int):
-            return f(a, b, pos)
+            v = f(a, b) if builtin else f(a, b, pos)
+            return v if INT64_MIN <= v <= INT64_MAX else wrap64(v)
         if op == "+" and isinstance(a, str) and isinstance(b, str):
             return a + b
         raise EvalError(message, pos)
@@ -168,6 +174,9 @@ def _chain(first: Expr, steps: list) -> Expr:
     """first, then each (step, right) of one precedence run in turn."""
     if not steps:
         return first
+    if len(steps) == 1:
+        ((step, right),) = steps
+        return lambda lookup: step(first(lookup), right, lookup)
 
     def chain(lookup):
         value = first(lookup)
@@ -190,8 +199,9 @@ class _Compiler:
         self.depth = 0
         # raises the parse fault once the parse has stopped at one
         self.fault: Optional[Expr] = None
-        # every name read, in a skipped side too
+        # every name read, in a skipped side too, and those read always
         self.names: dict[str, None] = {}
+        self.reads: dict[str, None] = {}
 
     def here(self) -> Position:
         tokens = self.tokens
@@ -223,7 +233,12 @@ class _Compiler:
             if prec < min_prec:
                 break
             self.i += 1
-            right = self.expression(prec + 1)
+            if prec > 2:
+                right = self.expression(prec + 1)
+            else:  # a side '&&' or '||' may skip: its names are not reads
+                reads, self.reads = self.reads, {}
+                right = self.expression(prec + 1)
+                self.reads = reads
             steps.append((_step(tok, self.fault), right))
         self.depth -= 1
         return _chain(first, steps)
@@ -267,7 +282,7 @@ class _Compiler:
             name = tok.text
             if self.i > start + 1:
                 name = dotted_name(tokens[start : self.i])
-            self.names[name] = None
+            self.names[name] = self.reads[name] = None
             return _fetch(name, tok.pos)
         return self.stop(f"unexpected '{tok.text}'", tok.pos)
 
@@ -296,28 +311,33 @@ def split_values(tokens) -> tuple[list, Optional[Expr]]:
     """Compile a value list: expressions, optionally comma separated,
     each taking the longest parse it can.
 
-    Returns (values, fault).  values holds one (closure, end, names) per
-    value: the closure is None for a bare '?' (one default-valued unit),
-    end is the index just past the value's tokens and names are the
-    names it reads, in a skipped side too.  A parse fault ends the list,
-    inside the last closure or, after a trailing ',', as the last closure
-    itself; fault raises it alone, without running anything before it.
+    Returns (values, fault).  values holds one (closure, end, names,
+    reads) per value: the closure is None for a bare '?' (one
+    default-valued unit), end is the index just past the value's tokens,
+    names are the names it reads, in a skipped side too, and reads those
+    outside the right side of every '&&' and '||'.  With one of reads
+    undefined, the closure can only raise an EvalError.  A parse fault
+    ends the list, inside the last closure or, after a trailing ',', as
+    the last closure itself; fault raises it alone, without running
+    anything before it.
     """
     c = _Compiler(tokens)
     values: list = []
     while c.i < len(tokens):
-        c.names = {}
+        c.names, c.reads = {}, {}
         if tokens[c.i].is_punct("?"):
             c.i += 1
-            values.append((None, c.i, ()))
+            values.append((None, c.i, (), ()))
         else:
-            values.append((c.expression(), c.i, tuple(c.names)))
+            value = c.expression()
+            values.append((value, c.i, tuple(c.names), tuple(c.reads)))
         if c.fault is not None or c.i >= len(tokens):
             break
         if tokens[c.i].is_punct(","):
             c.i += 1
             if c.i >= len(tokens):
-                values.append((c.stop("expected a value after ','"), c.i, ()))
+                fault = c.stop("expected a value after ','")
+                values.append((fault, c.i, (), ()))
     return values, c.fault
 
 
@@ -326,7 +346,7 @@ def compile_values(tokens) -> Callable[[Lookup], list[Value]]:
     if before the next is read; a bare '?' is an unexpected token here."""
     fns = [
         fn or failing(EvalError, "unexpected '?'", tokens[end - 1].pos)
-        for fn, end, _ in split_values(tokens)[0]
+        for fn, end, *_ in split_values(tokens)[0]
     ]
     return lambda lookup: [fn(lookup) for fn in fns]
 

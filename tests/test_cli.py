@@ -443,6 +443,8 @@ def test_hex_format_empty_image():
 def test_hex_nonprintable_dots():
     text = format_output(image(b"\x00A\x7f"), "hex").decode()
     assert text.endswith("|.A.|\n")
+    text = format_output(image(b"\x1f\x20\x7e\x80\xff"), "hex").decode()
+    assert text == "00000000: 1f 20 7e 80 ff" + " " * 35 + "|. ~..|\n"
 
 
 def test_listing_format(tmp_path):

@@ -515,6 +515,8 @@ def test_guard_with_arms_rejected(src):
         "@repeat\ndb 1\n@until [P]\n",
         "@repeat [P]\ndb 1\n@until 1\n",
         "@if 0\n@elif [P]\ndb 1\n@endif\n",
+        "@while 1\n@break [P]\n@endw\n",
+        "@if [Q]\n@while 1\n@break [P]\n@endw\n@endif\ndb 1\n",
     ],
 )
 def test_guard_shape_elsewhere_rejected(src):

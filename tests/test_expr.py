@@ -1,6 +1,7 @@
 """Expression evaluator tests, checked against the AST oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -152,7 +153,7 @@ def test_fault_order(text, outcome):
 def test_eval_values_greedy():
     def vals(text):
         values, _ = split_values(tokenize(text))
-        return [None if fn is None else fn({}.get) for fn, _, _ in values]
+        return [None if fn is None else fn({}.get) for fn, *_ in values]
 
     assert vals("1, 2 3") == [1, 2, 3]
     assert vals("5 - 3, 2") == [2, 2]
@@ -172,17 +173,23 @@ def test_split_values_parses_without_evaluating():
     values, fault = split_values(tokens)
     assert fault is None
     # each value's tokens end where the next value's start
-    ends = [end for _, end, _ in values]
+    ends = [end for _, end, *_ in values]
     starts = [0] + [e + tokens[e].is_punct(",") for e in ends[:-1]]
     assert [[t.text for t in tokens[a:b]] for a, b in zip(starts, ends)] == [
         ["missing", "/", "0"],
         ["(", "1", ")"],
         ["2"],
     ]
-    assert [names for _, _, names in values] == [("missing",), (), ()]
+    assert [names for _, _, names, _ in values] == [("missing",), (), ()]
     with pytest.raises(EvalError, match="undefined name 'missing'"):
         values[0][0]({}.get)
-    assert [fn({}.get) for fn, _, _ in values[1:]] == [1, 2]
+    assert [fn({}.get) for fn, *_ in values[1:]] == [1, 2]
+    # reads: the names read on every run, none right of '&&' or '||'
+    values, _ = split_values(tokenize("a && b || c.d + e, (f || g) - h"))
+    assert [v[2:] for v in values] == [
+        (("a", "b", "c.d", "e"), ("a",)),
+        (("f", "g", "h"), ("f", "h")),
+    ]
     # a parse fault raises only when the value holding it runs, or alone
     values, fault = split_values(tokenize("1 , 2 +"))
     assert values[0][0]({}.get) == 1
@@ -215,3 +222,19 @@ def test_matches_oracle_on_random_expressions():
     # the generator must exercise both outcomes to mean anything
     assert agree_values > 100
     assert agree_faults > 20
+
+
+def test_operator_steps_wrap_join_and_keep_messages():
+    # each of + - * & | ^ wraps to 64 bits, in any position of a chain
+    assert ev("0x7FFFFFFFFFFFFFFF + 1") == INT64_MIN
+    assert ev("-9223372036854775808 * -1") == INT64_MIN
+    assert ev("1 + (-9223372036854775808 - 1)") == INT64_MIN
+    assert ev("3 & 6 | 8 ^ 1") == 11
+    assert ev('"a" + "b"') == "ab"
+    for text, message in (
+        ('"a" * 2', "operator '*' needs integer operands"),
+        ('1 + "a"', "operator '+' needs two integers or two strings"),
+        ('"a" & 1', "operator '&' needs integer operands"),
+    ):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            ev(text)

@@ -6,6 +6,7 @@ what that patching must reproduce of a run that knew every label up
 front: the bytes, the first error, and the log printed before it.
 """
 
+from gtrans import expr
 from gtrans.dest_phase import run_dest_phase
 from gtrans.errors import TranslationError
 from gtrans.lexer import tokenize_lines
@@ -69,3 +70,53 @@ def test_reserve_count_faults_in_token_order():
         "t.s:1:1: reserve takes a count and at most one value"
     ]
     assert printed("rw 3 ,\n") == ["t.s:1:6: expected a value after ','"]
+
+
+def test_names_past_and_or_do_not_defer():
+    # a name right of '&&' or '||' is read only if the left side asks for
+    # it: these emit now, and 'later' need never be defined
+    assert hexdata("db 0 && later\ndb 1 || later\n") == "0001"
+    # a name left of them is always read, so its value waits
+    assert hexdata("db later || 1\nlater :\n") == "01"
+    assert printed("db later || 1\n") == ["t.s:1:4: undefined name 'later'"]
+
+
+def test_value_not_deferred_faults_at_its_own_line():
+    # the value is known when its line runs, so its range check comes
+    # before the fault of the next line
+    src = "db (0 && later) + 300\ndw 70000\nlater :\n"
+    assert printed(src, strict=True) == [
+        "t.s:1:1: value 300 does not fit in 1 byte(s)"
+    ]
+    # a deferred value is checked when the run ends, after that fault
+    src = "db later || 300\ndw 70000\nlater :\n"
+    assert printed(src, strict=True) == [
+        "t.s:2:1: value 70000 does not fit in 2 byte(s)"
+    ]
+
+
+def test_symbol_shadows_label_in_either_order():
+    assert hexdata("x = 5\nx :\ndb x\n") == "05"
+    assert hexdata("y :\ny = 7\ndb y\n") == "07"
+    # a fixup sees the label, not a symbol assigned after its line ran
+    assert hexdata("db z\nz = 9\nz :\n") == "01"
+
+
+def test_forward_fill_and_dotted_forward_name():
+    assert hexdata("rw 2, end\nend :\n") == "04000400"
+    assert hexdata("dw a.b + 1\na.b :\n") == "0300"
+
+
+def test_forward_reference_in_a_loop_raises_nothing(monkeypatch):
+    made = []
+
+    class Counting(expr.EvalError):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(expr, "EvalError", Counting)
+    src = "i = 0\n@while i < 1000\ndd end - i\ni = i + 1\n@endw\nend :\n"
+    data = bytes.fromhex(hexdata(src))
+    assert len(data) == 4000 and data[-4:] == (3001).to_bytes(4, "little")
+    assert made == []
