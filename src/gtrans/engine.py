@@ -35,7 +35,7 @@ opening line runs once, on entry; its closing line ('#endw' re-testing
 the while condition, or '#until') decides the next pass.
 
 A line is compiled when it runs, by _compiled: one of the engine's
-directives to its (key, compiled argument, position) tuple, any other
+directives to its (handler, compiled argument, position) tuple, any other
 line to the op the phase's hook builds.  Each program keeps its compiled
 forms by Line object, which compares by identity, so a line the stream
 holds at many positions is one entry.  An expansion keeps each op from
@@ -58,7 +58,7 @@ from .errors import (
     StructureError,
     UserAbort,
 )
-from .expr import Lookup, compile_expr, compile_values, failing, truthy
+from .expr import Lookup, compile_expr, compile_values, failing
 from .lexer import Line, LineKind
 
 
@@ -79,8 +79,6 @@ class Block:
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
 _CLOSERS = {close: opener for opener, close in _OPENERS.items()}
-# the directives the engine runs itself
-_KEYS = {*_OPENERS, *_CLOSERS, "elif", "else", "break", "print", "error"}
 # a top-level line's entry in Program.ops after its first sighting
 _SEEN = object()
 
@@ -210,8 +208,9 @@ class ControlEngine:
                     if line.kind is LineKind.BLANK:
                         continue
                     op = self._compiled(prog, pc)
-                if type(op) is tuple:
-                    self._directive(prog, pc, *op)
+                if type(op) is tuple:  # a directive: (handler, arg, pos)
+                    handler, arg, pos = op
+                    handler(self, prog, prog.structure.get(pc), arg, pos)
                     continue
                 program = op()
                 if program is not None:
@@ -234,46 +233,24 @@ class ControlEngine:
         return op
 
     def _compile_directive(self, line: Line):
-        """One of the engine's directives as (key without its prefix,
-        compiled argument or None, position); a key it does not know as
-        the op the phase compiles the line to, like any other line."""
+        """One of the engine's directives as (handler, compiled argument or
+        None, position); a key it does not know as the op the phase
+        compiles the line to, like any other line."""
         key, args = line.tokens[0], line.tokens[1:]
         base, pos = key.text[1:], key.pos
-        if base not in _KEYS:
+        handler = self._handlers.get(base)
+        if handler is None:
             return self.compile_line(line)
         if base in ("print", "error"):
-            return base, compile_values(args), pos
+            return handler, compile_values(args), pos
         if base in ("if", "elif", "while") and not args:
-            return base, failing(EvalError, "missing condition", pos), pos
+            return handler, failing(EvalError, "missing condition", pos), pos
         if args and base in ("if", "elif", "while", "until", "repeat", "break"):
-            return base, compile_expr(args), pos
-        return base, None, pos
+            return handler, compile_expr(args), pos
+        return handler, None, pos
 
-    # -- directive semantics --
-
-    def _directive(self, prog: Program, pc: int, base: str, arg, pos):
-        """Run line pc, a directive; the pc is past it, so endif is done."""
-        entry = prog.structure.get(pc)
-        if base == "if":
-            self._enter_conditional(prog, entry, arg)
-        elif base in ("elif", "else"):
-            # reached by falling out of the arm that ran
-            prog.pc = entry.close_idx + 1
-        elif base == "while":
-            prog.loops[pc] = [0, None]
-            self._while(prog, entry)
-        elif base == "endw":
-            self._while(prog, entry)
-        elif base == "repeat":
-            self._repeat(prog, entry, arg, pos)
-        elif base == "until":
-            self._until(prog, entry, arg, pos)
-        elif base == "break":
-            self._break(prog, entry, arg, pos)
-        elif base == "print":
-            self.diagnostics.append(self._format(arg))
-        elif base == "error":
-            raise UserAbort(self._format(arg), pos)
+    # -- directive semantics: each handler runs its line, with the pc
+    # past it, from the line's structure entry, argument and position --
 
     def _count(self, count, pos: Position, what: str) -> int:
         value = count(self.lookup)
@@ -286,19 +263,28 @@ class ControlEngine:
             v if isinstance(v, str) else str(v) for v in values(self.lookup)
         )
 
-    def _enter_conditional(self, prog: Program, block: Block, cond) -> None:
-        if truthy(cond(self.lookup)):
+    def _if(self, prog: Program, block: Block, cond, pos: Position) -> None:
+        if cond(self.lookup):
             return
         for arm_idx in block.arms:
             _, arm_cond, _ = self._compiled(prog, arm_idx)
-            if arm_cond is None or truthy(arm_cond(self.lookup)):  # else
+            if arm_cond is None or arm_cond(self.lookup):  # else
                 prog.pc = arm_idx + 1
                 return
         prog.pc = block.close_idx + 1
 
-    def _while(self, prog: Program, block: Block) -> None:
+    def _else(self, prog: Program, block: Block, arg, pos: Position) -> None:
+        # elif and else are reached by falling out of the arm that ran;
+        # at endif, past the block is where the pc already is
+        prog.pc = block.close_idx + 1
+
+    def _while(self, prog: Program, block: Block, cond, pos: Position):
+        prog.loops[block.open_idx] = [0, None]
+        self._next_pass(prog, block, cond(self.lookup), pos)
+
+    def _endw(self, prog: Program, block: Block, arg, pos: Position):
         _, cond, pos = self._compiled(prog, block.open_idx)
-        self._next_pass(prog, block, truthy(cond(self.lookup)), pos)
+        self._next_pass(prog, block, cond(self.lookup), pos)
 
     def _repeat(self, prog: Program, block: Block, count, pos: Position):
         times: Optional[int] = None
@@ -311,11 +297,17 @@ class ControlEngine:
 
     def _until(self, prog: Program, block: Block, cond, pos: Position):
         passes, times = prog.loops[block.open_idx]
-        done = cond is not None and truthy(cond(self.lookup))
+        done = cond is not None and cond(self.lookup)
         again = not done and (times is None or passes < times)
         self._next_pass(prog, block, again, pos)
 
-    def _next_pass(self, prog: Program, block: Block, again: bool, pos):
+    def _print(self, prog: Program, entry, values, pos: Position) -> None:
+        self.diagnostics.append(self._format(values))
+
+    def _error(self, prog: Program, entry, values, pos: Position) -> None:
+        raise UserAbort(self._format(values), pos)
+
+    def _next_pass(self, prog: Program, block: Block, again, pos):
         """Start the loop's next pass if again holds, else leave the loop.
 
         Every pass of every loop is counted here, against max_loop.
@@ -348,6 +340,14 @@ class ControlEngine:
                 f"break level {level} exceeds loop nesting {len(loops)}", pos
             )
         prog.pc = loops[level - 1].close_idx + 1
+
+    # each directive key the engine runs itself, without its prefix, to
+    # its handler: a plain function, so a compiled line holds no engine
+    _handlers = {
+        "if": _if, "elif": _else, "else": _else, "endif": _else,
+        "while": _while, "endw": _endw, "repeat": _repeat, "until": _until,
+        "break": _break, "print": _print, "error": _error,
+    }
 
 
 __all__ = [

@@ -17,8 +17,12 @@ evaluating while parsing would.  A skipped side of '&&'/'||' is not
 run, so its value faults stay silent, but a parse fault in it still
 raises.  A run of operators of one precedence compiles to one loop, so
 a long flat expression runs without deep recursion, and a run of one
-step needs none.  A step wraps its result inline; '+ - * & | ^' call
-operator module functions, so they run no Python frame but the step.
+step needs none.  Each step is a closure picked by its operator's class
+as it compiles, so it runs no Python frame but its own: it wraps its
+result, a comparison returns 1 or 0, '/' and '%' truncate and '<<' and
+'>>' check their count, all inline.  An integer literal right operand
+is a value the step holds, not a call.  Results are never bools, and a
+condition is tested by Python's truth: zero and "" are false (README).
 """
 
 from __future__ import annotations
@@ -55,54 +59,11 @@ def wrap64(v: int) -> int:
     return ((v + 2**63) % 2**64) - 2**63
 
 
-def truthy(v: Value) -> bool:
-    """Zero and the empty string are false, everything else is true."""
-    if isinstance(v, str):
-        return v != ""
-    return v != 0
-
-
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
 def _raise(exc: Exception):
     try:
         raise exc
     finally:
         del exc  # the traceback holds this frame: break the cycle
-
-
-# each binary operator: (precedence, function on two integers; '+' also
-# joins two strings).  '&&' and '||' have no function: they short-circuit.
-# A step wraps the result.  The _BUILTIN functions, from the operator
-# module, take (a, b); every other takes (a, b, position of the operator).
-_BINARY = {
-    "||": (1, None),
-    "&&": (2, None),
-    "|": (3, operator.or_),
-    "^": (4, operator.xor),
-    "&": (5, operator.and_),
-    "=": (6, lambda a, b, pos: 1 if a == b else 0),
-    "!=": (6, lambda a, b, pos: 1 if a != b else 0),
-    "<": (7, lambda a, b, pos: 1 if a < b else 0),
-    "<=": (7, lambda a, b, pos: 1 if a <= b else 0),
-    ">": (7, lambda a, b, pos: 1 if a > b else 0),
-    ">=": (7, lambda a, b, pos: 1 if a >= b else 0),
-    "<<": (8, lambda a, b, pos: a << b if 0 <= b <= 63
-           else _raise(EvalError("shift count out of range", pos))),
-    ">>": (8, lambda a, b, pos: a >> b if 0 <= b <= 63
-           else _raise(EvalError("shift count out of range", pos))),
-    "+": (9, operator.add),
-    "-": (9, operator.sub),
-    "*": (10, operator.mul),
-    "/": (10, lambda a, b, pos: _trunc_div(a, b)
-          if b else _raise(EvalError("division by zero", pos))),
-    "%": (10, lambda a, b, pos: a - _trunc_div(a, b) * b
-          if b else _raise(EvalError("modulo by zero", pos))),
-}
-_BUILTIN = ("|", "^", "&", "+", "-", "*")
 
 
 def failing(cls, message: str, pos: Position) -> Expr:
@@ -123,7 +84,7 @@ def _fetch(name: str, pos: Position) -> Expr:
 def _unary(tok: Token, operand: Expr) -> Expr:
     op, pos = tok.text, tok.pos
     if op == "!":
-        return lambda lookup: 0 if truthy(operand(lookup)) else 1
+        return lambda lookup: 0 if operand(lookup) else 1
     f = operator.invert if op == "~" else operator.neg
 
     def apply(lookup):
@@ -135,61 +96,135 @@ def _unary(tok: Token, operand: Expr) -> Expr:
     return apply
 
 
-def _step(tok: Token, fault: Optional[Expr]):
-    """One binary operator as step(left value, right, lookup) -> value;
-    the step runs its right operand itself.  fault raises the parse fault
-    inside the right operand, if it holds one."""
-    op, pos = tok.text, tok.pos
-    f = _BINARY[op][1]
-    if f is None:  # '&&' or '||'
-        go_on = op == "&&"  # the truth of the left side that reads on
+def _operands(tok: Token) -> EvalError:
+    """The fault of binary operator tok given an operand it cannot take."""
+    op = tok.text
+    need = "two integers or two strings" if op == "+" else "integer operands"
+    return EvalError(f"operator '{op}' needs {need}", tok.pos)
 
-        def logical(a, right, lookup):
-            if truthy(a) is go_on:
-                return 1 if truthy(right(lookup)) else 0
-            if fault is not None:
-                fault(lookup)
-            return 0 if go_on else 1
 
-        return logical
-    if op == "+":
-        message = "operator '+' needs two integers or two strings"
-    else:
-        message = f"operator '{op}' needs integer operands"
-    builtin = op in _BUILTIN
+# One factory per operator class builds the step of binary operator tok,
+# step(left value, lookup) -> value, which runs right itself unless
+# literal holds the integer literal right is.  f is the operator's
+# function, if any; fault raises the parse fault inside right, if any.
 
-    def arith(a, right, lookup):
-        b = right(lookup)
+
+def _logical(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    reads_if_false = tok.text == "||"  # '||' runs right when a is false
+
+    def logical(a, lookup):
+        if (not a) is reads_if_false:
+            return 1 if right(lookup) else 0
+        if fault is not None:
+            fault(lookup)
+        return 1 if a else 0  # right is skipped: a decides
+
+    return logical
+
+
+def _arith(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    def arith(a, lookup):
+        b = right(lookup) if literal is None else literal
         if isinstance(a, int) and isinstance(b, int):
-            v = f(a, b) if builtin else f(a, b, pos)
+            v = f(a, b)
             return v if INT64_MIN <= v <= INT64_MAX else wrap64(v)
-        if op == "+" and isinstance(a, str) and isinstance(b, str):
+        if f is operator.add and isinstance(a, str) and isinstance(b, str):
             return a + b
-        raise EvalError(message, pos)
+        raise _operands(tok)
 
     return arith
 
 
+def _compare(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    def compare(a, lookup):
+        b = right(lookup) if literal is None else literal
+        if isinstance(a, int) and isinstance(b, int):
+            return 1 if f(a, b) else 0
+        raise _operands(tok)
+
+    return compare
+
+
+def _shift(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    def shift(a, lookup):
+        b = right(lookup) if literal is None else literal
+        if isinstance(a, int) and isinstance(b, int):
+            if 0 <= b <= 63:
+                v = f(a, b)
+                return v if INT64_MIN <= v <= INT64_MAX else wrap64(v)
+            raise EvalError("shift count out of range", tok.pos)
+        raise _operands(tok)
+
+    return shift
+
+
+def _divide(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    def divide(a, lookup):
+        b = right(lookup) if literal is None else literal
+        if isinstance(a, int) and isinstance(b, int):
+            if b:
+                q = a // b  # rounded down: round toward zero instead
+                if q < 0 and q * b != a:
+                    return q + 1
+                return q if q <= INT64_MAX else INT64_MIN  # MIN / -1
+            raise EvalError("division by zero", tok.pos)
+        raise _operands(tok)
+
+    return divide
+
+
+def _modulo(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
+    def modulo(a, lookup):
+        b = right(lookup) if literal is None else literal
+        if isinstance(a, int) and isinstance(b, int):
+            if b:
+                r = a % b  # takes b's sign: give it a's instead
+                return r - b if r and (a ^ b) < 0 else r
+            raise EvalError("modulo by zero", tok.pos)
+        raise _operands(tok)
+
+    return modulo
+
+
+# each binary operator: (precedence, the factory of its step, f), one
+# precedence level a line
+_BINARY = {
+    "||": (1, _logical, None),
+    "&&": (2, _logical, None),
+    "|": (3, _arith, operator.or_),
+    "^": (4, _arith, operator.xor),
+    "&": (5, _arith, operator.and_),
+    "=": (6, _compare, operator.eq), "!=": (6, _compare, operator.ne),
+    "<": (7, _compare, operator.lt), "<=": (7, _compare, operator.le),
+    ">": (7, _compare, operator.gt), ">=": (7, _compare, operator.ge),
+    "<<": (8, _shift, operator.lshift), ">>": (8, _shift, operator.rshift),
+    "+": (9, _arith, operator.add), "-": (9, _arith, operator.sub),
+    "*": (10, _arith, operator.mul), "/": (10, _divide, None),
+    "%": (10, _modulo, None),
+}
+
+
 def _chain(first: Expr, steps: list) -> Expr:
-    """first, then each (step, right) of one precedence run in turn."""
+    """first, then each step of one precedence run in turn."""
     if not steps:
         return first
     if len(steps) == 1:
-        ((step, right),) = steps
-        return lambda lookup: step(first(lookup), right, lookup)
+        (step,) = steps
+        return lambda lookup: step(first(lookup), lookup)
 
     def chain(lookup):
         value = first(lookup)
-        for step, right in steps:
-            value = step(value, right, lookup)
+        for step in steps:
+            value = step(value, lookup)
         return value
 
     return chain
 
 
-# a step that runs its right operand only for its faults: it follows a
-# complete expression with the parse fault that comes after it
-_THEN = lambda a, right, lookup: right(lookup)  # noqa: E731
+def _then(fault: Expr):
+    """A step that runs only fault: it follows a complete expression with
+    the parse fault that comes after it."""
+    return lambda a, lookup: fault(lookup)
 
 
 class _Compiler:
@@ -229,17 +264,21 @@ class _Compiler:
             tok = tokens[self.i]
             if tok.kind is not TokenKind.OPERATOR:
                 break
-            prec = _BINARY.get(tok.text, (0,))[0]  # 0: not binary
+            prec, make, f = _BINARY.get(tok.text, (0, None, None))
             if prec < min_prec:
                 break
             self.i += 1
+            start = self.i
             if prec > 2:
                 right = self.expression(prec + 1)
             else:  # a side '&&' or '||' may skip: its names are not reads
                 reads, self.reads = self.reads, {}
                 right = self.expression(prec + 1)
                 self.reads = reads
-            steps.append((_step(tok, self.fault), right))
+            literal = None  # an integer literal right operand: its value
+            if self.i == start + 1 and tokens[start].kind is TokenKind.INTEGER:
+                literal = wrap64(tokens[start].value)
+            steps.append(make(tok, f, right, literal, self.fault))
         self.depth -= 1
         return _chain(first, steps)
 
@@ -274,7 +313,7 @@ class _Compiler:
                 if self.i < len(tokens) and tokens[self.i].is_punct(")"):
                     self.i += 1
                 else:
-                    inner = _chain(inner, [(_THEN, self.stop("missing ')'"))])
+                    inner = _chain(inner, [_then(self.stop("missing ')'"))])
             return inner
         if tok.kind is TokenKind.IDENTIFIER:
             start = self.i - 1
@@ -298,7 +337,7 @@ def compile_expr(tokens) -> Expr:
     node = c.expression()
     if c.fault is None and c.i < len(tokens):
         fault = c.stop(f"unexpected '{tokens[c.i].text}'")
-        node = _chain(node, [(_THEN, fault)])
+        node = _chain(node, [_then(fault)])
     return node
 
 
@@ -361,6 +400,5 @@ __all__ = [
     "evaluate",
     "failing",
     "split_values",
-    "truthy",
     "wrap64",
 ]

@@ -348,6 +348,13 @@ def test_print_order_crosses_phases(tmp_path):
     assert report.diagnostics == ["first", "second"]
 
 
+def test_print_shows_comparisons_and_logic_as_integers(tmp_path):
+    # a bool result would print as 'True' or 'False'
+    source = "#print 2 > 1\n@print 1 = 1\n#print 1 < 0, !5, 0 || 2, 2 && 0\ndb 0\n"
+    report, _ = run_files(tmp_path, source)
+    assert report.diagnostics == ["1", "0 0 1 0", "1"]
+
+
 _GARBAGE_RULES = (
     "class put x { db x }\n"
     "class INC ( v ) { v + 1 }\n"

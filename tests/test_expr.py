@@ -12,7 +12,6 @@ from gtrans.expr import (
     compile_values,
     evaluate,
     split_values,
-    truthy,
     wrap64,
 )
 from gtrans.lexer import tokenize
@@ -82,7 +81,7 @@ def test_arithmetic_faults(text):
 
 def test_strings():
     assert ev('"ab" + "cd"') == "abcd"
-    assert truthy("x") and not truthy("")
+    assert ev('!"x"') == 0 and ev('!""') == 1
     assert ev('"" || 0') == 0
     assert ev('"a" && 1') == 1
     for bad in ('"a" < "b"', '"a" = "a"', '"a" != "b"', '"x" * 2', '"x" + 1'):
@@ -238,3 +237,88 @@ def test_operator_steps_wrap_join_and_keep_messages():
     ):
         with pytest.raises(EvalError, match=re.escape(message)):
             ev(text)
+
+
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def test_comparisons_and_logic_give_ints_not_bools():
+    # the oracle comparison cannot catch a bool result, since True == 1
+    env = {"x": 3, "s": "t"}
+    texts = [
+        f"{left} {op} {right}"
+        for op in _COMPARISONS
+        for left, right in (("x", "2"), ("x", "x"), ("3", "x"), ("2", "3"))
+    ]
+    texts += ["!x", "!0", '!""', "!s", "!(x < 2)"]
+    texts += [
+        f"{left} {op} {right}"
+        for op in ("&&", "||")
+        for left, right in (("x", "0"), ("0", "x"), ("s", "1"), ('""', "s"),
+                            ("1", "1"), ("0", "0"), ("x", "x < 2"))
+    ]
+    for text in texts:
+        value = ev(text, env)
+        assert type(value) is int and value in (0, 1), text
+
+
+_EDGE_LEFT = ("7", "-7", "x", "-9223372036854775808")
+_EDGE_RIGHT = ("0", "1", "63", "64", "9223372036854775808",
+               "0xFFFFFFFFFFFFFFFF")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"{left} {op} {right}"
+        for op in ("/", "%", "<<", ">>")
+        for left in _EDGE_LEFT
+        for right in _EDGE_RIGHT
+    ]
+    + ["-7 / 2", "-7 % 2", "7 % -2", "-9223372036854775808 / 1",
+       "x / -3", "x % -3", "x / 3 / 2", "x % 3 = 2", "x * 2 % 5"],
+)
+def test_literal_right_operands_match_the_oracle(text):
+    """A literal right operand is held, not run: every edge agrees with
+    the oracle and with the same operand run as '( literal )'."""
+    env = {"x": -9}
+    try:
+        expect = ("ok", oracle_eval(text, env))
+    except OracleError:
+        expect = ("fault",)
+    results = []
+    for form in (text, re.sub(r"(\S+)$", r"( \1 )", text)):
+        try:
+            results.append(("ok", ev(form, env)))
+        except EvalError:
+            results.append(("fault",))
+    assert results == [expect, expect]
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        ('"a" < 1', "t.s:1:5: operator '<' needs integer operands"),
+        ('"a" % 3', "t.s:1:5: operator '%' needs integer operands"),
+        ('"a" / 0', "t.s:1:5: operator '/' needs integer operands"),
+        ('"a" + 1', "t.s:1:5: operator '+' needs two integers or two strings"),
+        ("1 / 0", "t.s:1:3: division by zero"),
+        ("1 % 0", "t.s:1:3: modulo by zero"),
+        ("1 << 64", "t.s:1:3: shift count out of range"),
+        ("1 >> 9223372036854775808", "t.s:1:3: shift count out of range"),
+        ("-9223372036854775808 / 0xFFFFFFFFFFFFFFFF", -(2**63)),
+        ("7 / -3", -2),
+        # a fault left of a literal '/ 0' is the one reported
+        ("q / 0", "t.s:1:1: undefined name 'q'"),
+        ("1 % 0 / 0", "t.s:1:3: modulo by zero"),
+        ('( "a" < 1 ) / 0', "t.s:1:7: operator '<' needs integer operands"),
+        ('"a" + 1 / 0', "t.s:1:9: division by zero"),
+        ("1 / 0 +", "t.s:1:3: division by zero"),
+    ],
+)
+def test_literal_operand_faults(text, outcome):
+    try:
+        got = evaluate(tokenize(text, "t.s"), {}.get)
+    except EvalError as exc:
+        got = str(exc)
+    assert got == outcome
