@@ -12,15 +12,25 @@ are known when the line runs.
 Data values and reserve fills may name a later label.  A value whose
 evaluation fails, or would (it reads an undefined name outside the
 right side of every '&&' and '||'), is written as zero units, and each
-run of a line that defers values leaves one fixup record: the log
-length, the values the line's names had then, and where each deferred
-value's bytes are, with its compiled expression.  When the run ends,
-normally or at '@error', the records are patched in order against those
-values and the labels defined by then: every value of one is evaluated
-before any is range-checked under strict and written in place.  The
-first that fails is the translation's error, and the log is cut back to
-what it held when that line ran.  An error raised by a line during the
-run ends the translation before any fixup is evaluated.
+run of a line that defers values leaves one fixup record.  A record is
+one flat tuple, since a long loop keeps one per pass until the end:
+
+    (log length, names, value of each name then,
+     entry, start, nbytes for each deferred value)
+
+names is the line's names, shared by all its runs; a value is None for
+a name that was undefined.  entry is the value's (compiled expression,
+unit size, position, reads), also shared; its zero units are
+data[start : start + nbytes].  No other object is kept per run, and the
+image keeps each emitting line run as its line and start offset only.
+
+When the run ends, normally or at '@error', the records are patched in
+order against those values and the labels defined by then: every value
+of one is evaluated before any is range-checked under strict and
+written in place.  The first that fails is the translation's error, and
+the log is cut back to what it held when that line ran.  An error
+raised by a line during the run ends the translation before any fixup
+is evaluated.
 
 Before the run, '@if [name]' blocks are treated as guarded regions:
 a region stays only while its name is referenced from somewhere outside
@@ -57,7 +67,7 @@ _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
 
 @dataclass(slots=True)
 class Span:
-    """Byte range produced by one stream line."""
+    """Byte range produced by one run of a stream line, built on demand."""
 
     line: Line
     start: int
@@ -70,7 +80,18 @@ class EmitImage:
     strict: bool = False
     data: bytearray = field(default_factory=bytearray)
     labels: dict[str, int] = field(default_factory=dict)
-    spans: list[Span] = field(default_factory=list)
+    # Each line run that emitted bytes, and the offset of its first byte.
+    # Every byte of data is appended inside exactly one line's run, and
+    # fixups only overwrite in place, so a run ends where the next one
+    # starts and the last one ends at len(data).
+    lines: list[Line] = field(default_factory=list)
+    starts: list[int] = field(default_factory=list)
+
+    @property
+    def spans(self) -> list[Span]:
+        """The byte range of each emitting line run, in order."""
+        ends = [*self.starts[1:], len(self.data)]
+        return list(map(Span, self.lines, self.starts, ends))
 
 
 def _guard_name(args) -> Optional[str]:
@@ -169,8 +190,8 @@ class _DestHandler:
         self.labels: dict[str, int] = image.labels
         self.diagnostics = diagnostics
         self.limits: Limits = limits
-        # one flat record per line run that deferred values: (log length,
-        #  the line's names, their values, (start, nbytes, fixup entry)...)
+        # one flat record per line run that deferred values: log length,
+        # names, their values then, then entry, start, nbytes per value
         self.fixups: list[tuple] = []
 
     # -- the engine's compile hook: a line into a closure that runs it --
@@ -229,14 +250,16 @@ class _DestHandler:
         size = _SIZES[keyword[1]]
         build = self._reserve if keyword[0] == "r" else self._values
         body, image = build(tokens[1:], keyword, size, line.pos), self.image
+        data, lines, starts = image.data, image.lines, image.starts
 
         def emit():
             if label is not None:
                 self._define_label(label, line.pos)
-            start = len(image.data)
+            start = len(data)
             body()
-            if len(image.data) > start:
-                image.spans.append(Span(line, start, len(image.data)))
+            if len(data) > start:
+                lines.append(line)
+                starts.append(start)
 
         return emit
 
@@ -259,7 +282,7 @@ class _DestHandler:
             waiting = []
             for entry, value in zip(entries, got):
                 if value is None:
-                    waiting.append((len(self.image.data), size, entry))
+                    waiting += entry, len(self.image.data), size
                     self.image.data += bytes(size)
                 elif isinstance(value, str):
                     self._emit_string(value, keyword, pos)
@@ -304,7 +327,7 @@ class _DestHandler:
                 late(self.lookup)
             value = 0 if fill is None else self._now(fill[0], fill[3])
             if value is None:
-                self._defer(names, [(len(self.image.data), size * n, fill)])
+                self._defer(names, (fill, len(self.image.data), size * n))
                 self.image.data += bytes(size * n)
             elif not isinstance(value, int):
                 raise EmitError("reserve value must be an integer", pos)
@@ -327,9 +350,10 @@ class _DestHandler:
 
     def _defer(self, names, waiting) -> None:
         """Record the fixup of one line run whose values in waiting, as
-        (start, nbytes, fixup entry), were written as zeros."""
-        saved = tuple(map(self.lookup, names))
-        self.fixups.append((len(self.diagnostics), names, saved, *waiting))
+        fixup entry, start, nbytes for each, were written as zeros."""
+        self.fixups.append(
+            (len(self.diagnostics), names, *map(self.lookup, names), *waiting)
+        )
 
     def patch(self) -> None:
         """Evaluate the fixups in order and write them in place.
@@ -339,13 +363,15 @@ class _DestHandler:
         The first that fails cuts the log back to that line run's mark.
         """
         labels, data = self.labels, self.image.data
-        for mark, names, saved, *waiting in self.fixups:
+        for mark, names, *rest in self.fixups:
             # a name undefined when the line ran reads the final labels
             lookup = {n: labels.get(n) if v is None else v
-                      for n, v in zip(names, saved)}.get
+                      for n, v in zip(names, rest)}.get
+            flat = iter(rest[len(names) :])  # entry, start, nbytes, ...
+            waiting = list(zip(flat, flat, flat))
             try:
-                got = [entry[0](lookup) for _, _, entry in waiting]
-                for (at, n, (_, size, pos, _)), value in zip(waiting, got):
+                got = [entry[0](lookup) for entry, _, _ in waiting]
+                for ((_, size, pos, _), at, n), value in zip(waiting, got):
                     unit = self._unit_bytes(value, size, pos)
                     data[at : at + n] = unit * (n // size)
             except TranslationError:

@@ -277,7 +277,8 @@ class _Compiler:
                 self.reads = reads
             literal = None  # an integer literal right operand: its value
             if self.i == start + 1 and tokens[start].kind is TokenKind.INTEGER:
-                literal = wrap64(tokens[start].value)
+                v = tokens[start].value  # a lexer value is never negative
+                literal = v if v <= INT64_MAX else wrap64(v)
             steps.append(make(tok, f, right, literal, self.fault))
         self.depth -= 1
         return _chain(first, steps)
@@ -302,7 +303,8 @@ class _Compiler:
         tok = tokens[self.i]
         self.i += 1
         if tok.kind is TokenKind.INTEGER:
-            value = wrap64(tok.value)
+            v = tok.value  # a lexer value is never negative
+            value = v if v <= INT64_MAX else wrap64(v)
             return lambda lookup: value
         if tok.kind is TokenKind.STRING:
             text = tok.string_text

@@ -12,7 +12,9 @@ helpers.gen_programs: a brace-heavy line pool, '#'/'@' control flow,
 class overloads, nested loops with breaks, classes, aliases and
 substitutions defined inside loops, and '@' lines re-emitted by '#'
 loops, in turn.  A run's status,
-diagnostics and output bytes are compared program by program.  The
+diagnostics and output bytes are compared program by program, and for a
+run that ends ok also its '--format listing' text, which shows the byte
+range each emitting line produced.  The
 report counts the programs that agree, by status, and groups the ones
 that differ by their pair of statuses and last diagnostics, positions
 stripped.  Each group lists its
@@ -29,13 +31,15 @@ import sys
 import tarfile
 import tempfile
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 SHOWN = 5  # program indices listed per difference group
 
 
 def run_side(count, seed):
-    """One JSON line per program: [status, diagnostics, output hex]."""
+    """One JSON line per program: [status, diagnostics, output hex],
+    plus the listing text when the status is ok."""
     from gtrans.cli import TranslatorConfig, translate
     from gtrans.engine import Limits
     from helpers import gen_programs
@@ -57,6 +61,10 @@ def run_side(count, seed):
             except Exception as exc:  # an escape is a result here
                 row = [f"raised {type(exc).__name__}", []]
             row.append(out.read_bytes().hex() if out.exists() else "")
+            if row[0] == "ok":  # the same program again, as a listing
+                out.unlink()
+                translate(replace(config, format="listing"))
+                row.append(out.read_text() if out.exists() else "")
             print(json.dumps(row))
 
 

@@ -1,9 +1,12 @@
 """Second-phase tests: emission, labels, forward-reference fixups, guards."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from gtrans.cli import format_output
 from gtrans.dest_phase import resolve_guarded_regions, run_dest_phase
 from gtrans.engine import Limits
 from gtrans.errors import (
@@ -691,6 +694,63 @@ def test_spans_cover_emitting_lines():
     img = emit("db 1, 2\nskip :\nrw 2\n")
     assert [(s.start, s.end) for s in img.spans] == [(0, 2), (2, 6)]
     assert [s.line.render() for s in img.spans] == ["db 1 , 2", "rw 2"]
+    assert format_output(img, "listing").decode() == (
+        "00000000  01 02                    db 1 , 2\n"
+        "00000002  00 00 00 00              rw 2\n"
+        "\n"
+        "labels:\n"
+        "  00000002  skip\n"
+    )
+    # an empty reserve and a label-only line emit no run; forward
+    # references are patched in place and leave the runs as they were
+    src = (
+        "db 1, 2\nrw 0\ndw later, 3\nhere :\nrb 0, later\n"
+        "rw 2, later - 1\nlater :\ndb \"ok\"\n"
+    )
+    img = emit(src)
+    assert [(s.start, s.end) for s in img.spans] == [
+        (0, 2), (2, 6), (6, 10), (10, 12),
+    ]
+    assert [s.line.render() for s in img.spans] == [
+        "db 1 , 2", "dw later , 3", "rw 2 , later - 1", 'db "ok"',
+    ]
+    assert format_output(img, "listing").decode() == (
+        "00000000  01 02                    db 1 , 2\n"
+        "00000002  0a 00 03 00              dw later , 3\n"
+        "00000006  09 00 09 00              rw 2 , later - 1\n"
+        '0000000a  6f 6b                    db "ok"\n'
+        "\n"
+        "labels:\n"
+        "  00000006  here\n"
+        "  0000000a  later\n"
+    )
+
+
+def _loop_peak(iterations):
+    """tracemalloc's peak over one run of a dest_loop-shaped @while."""
+    src = (
+        f"i = 0\ns = 12345\n@while i < {iterations}\n"
+        "s = (s * 1103515245 + 12345) & 0x7FFFFFFF\n"
+        "@if s % 3 = 0\ndb s & 0xFF\n@elif s % 3 = 1\ndw s & 0xFFFF\n"
+        "@else\ndd s\n@endif\n"
+        "dd end - i\nrw s % 3, end\ni = i + 1\n@endw\nend :\ndb 0xEE\n"
+    )
+    lines = tokenize_lines(src, "t.s")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_dest_phase(lines)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_keeps_little_per_iteration():
+    # each iteration keeps its bytes, its emitting runs and two fixups
+    # until the run ends; more than 500 bytes of that is waste
+    _loop_peak(10)  # what a first run fills once is not per iteration
+    growth = (_loop_peak(4000) - _loop_peak(2000)) / 2000
+    assert growth <= 500, f"{growth:.0f} bytes per iteration"
 
 
 def test_empty_stream_empty_image():
