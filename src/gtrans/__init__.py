@@ -7,29 +7,6 @@ over that stream once, emits a byte image, and patches the values that
 name labels defined later when the run ends.
 """
 
-from .errors import (
-    EmitError,
-    EvalError,
-    LexError,
-    LimitError,
-    Position,
-    StructureError,
-    TranslationError,
-    UsageError,
-    UserAbort,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmitError",
-    "EvalError",
-    "LexError",
-    "LimitError",
-    "Position",
-    "StructureError",
-    "TranslationError",
-    "UsageError",
-    "UserAbort",
-    "__version__",
-]
+__all__ = ["__version__"]

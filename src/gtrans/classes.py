@@ -2,8 +2,9 @@
 
 A class is a named rewrite rule: a pattern of parameters and separator
 tokens, and a body of token lines.  Invocations are matched against the
-pattern; parameters capture token runs, the body is emitted with those
-runs spliced in.  Definitions are resolved newest first, so a later
+pattern; parameters capture token runs, and splice fills each body line
+with them.  A substitution step is the same splice under the table of
+substitutions.  Definitions are resolved newest first, so a later
 class with the same name shadows an earlier one wherever both match,
 and chains of operator-like classes get their precedence from
 definition order alone.
@@ -230,17 +231,17 @@ def match(cls: ClassDef, args: Sequence[Token]) -> Optional[Binding]:
     return _match_variadic(cls.fixed, cls.variadic, args)
 
 
-def expand_body(cls: ClassDef, binding: Binding) -> list[list[Token]]:
-    """Body lines with parameter identifiers replaced by captured runs."""
-    out = []
-    for body_line in cls.body:
-        toks: list[Token] = []
-        for t in body_line:
-            if t.kind is TokenKind.IDENTIFIER and t.text in binding:
-                toks.extend(binding[t.text])
-            else:
-                toks.append(t)
-        out.append(toks)
+def splice(tokens: Sequence[Token], runs: Binding) -> list[Token]:
+    """tokens with each identifier that runs names replaced by its run: a
+    body line under its binding, or any line under the substitutions.  A
+    run goes in as it is and is not looked at again, so substitutions
+    that name each other advance one step per call instead of looping."""
+    out: list[Token] = []
+    for t in tokens:
+        if t.kind is TokenKind.IDENTIFIER and t.text in runs:
+            out.extend(runs[t.text])
+        else:
+            out.append(t)
     return out
 
 
@@ -306,24 +307,11 @@ class ClassTable:
         self.substitutions[name] = tuple(replacement)
         self.version += 1
 
-    def substitute(self, tokens: Sequence[Token]) -> Optional[list[Token]]:
-        """One substitution step over a token line.  None if unchanged.
-
-        Replacement tokens are spliced in as they are and not looked at
-        again, so mutually referring substitutions advance one step per
-        scan instead of looping.
-        """
+    def substitute(self, tokens: list[Token]) -> list[Token]:
+        """One substitution step: tokens itself if none is defined."""
         if not self.substitutions:
-            return None
-        out: list[Token] = []
-        changed = False
-        for t in tokens:
-            if t.kind is TokenKind.IDENTIFIER and t.text in self.substitutions:
-                out.extend(self.substitutions[t.text])
-                changed = True
-            else:
-                out.append(t)
-        return out if changed else None
+            return tokens
+        return splice(tokens, self.substitutions)
 
 
 def _matching_paren(tokens, open_idx: int) -> Optional[int]:
@@ -376,19 +364,18 @@ def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> lis
                             f"(limit {budget})",
                             t.pos,
                         )
-                    toks[i : close + 1] = expand_body(cls, binding)[0]
+                    toks[i : close + 1] = splice(cls.body[0], binding)
                     continue
         i += 1
     return toks
 
 
 __all__ = [
-    "ClassDef",
     "ClassTable",
     "Param",
     "Sep",
-    "expand_body",
     "expand_calls",
     "match",
     "parse_pattern",
+    "splice",
 ]

@@ -59,8 +59,8 @@ from .errors import (
     UserAbort,
 )
 from .expr import Value, compile_expr, failing, split_values
-from .lexer import DATA_KEYWORDS, Line, LineKind, TokenKind
-from .lexer import dotted_name, dotted_name_end
+from .lexer import Line, LineKind, TokenKind, dotted_name, dotted_name_end
+from .lexer import labeled_data_keyword
 
 _SIZES = {"b": 1, "w": 2, "d": 4, "p": 6, "q": 8}
 
@@ -234,16 +234,10 @@ class _DestHandler:
 
     def _labeled_data(self, line: Line):
         tokens = line.tokens
-        j = dotted_name_end(tokens)
-        k = j + 1 if j < len(tokens) and tokens[j].is_punct(":") else j
-        if not (
-            tokens[0].kind is TokenKind.IDENTIFIER
-            and k < len(tokens)
-            and tokens[k].kind is TokenKind.IDENTIFIER
-            and tokens[k].text in DATA_KEYWORDS
-        ):
+        k = labeled_data_keyword(tokens)
+        if k is None:
             raise TranslationError("unrecognized statement", line.pos)
-        return self._data_line(line, tokens[k:], dotted_name(tokens[:j]))
+        return self._data_line(line, tokens[k:], dotted_name(tokens[:k]))
 
     def _data_line(self, line: Line, tokens, label: Optional[str] = None):
         keyword = tokens[0].text

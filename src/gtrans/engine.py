@@ -25,10 +25,11 @@ is matched with its arms and its closing line up front, so a dangling
 '#endif', a bare '#repeat ... #until' or an '#else' with arguments fails
 fast even when execution would never reach it.  build_structure
 returns one map from each opener, arm and closer to its block, and from
-each break to the loops around it, innermost first, so a running loop
-keeps only its pass counter.  The engine takes one step per line: it
-moves the pc past a line when it fetches it, and a directive that jumps
-sets an absolute target.  run steps the top program in an inner loop
+each break to the loops around it, innermost first.  A program's
+structure is its own and only one push of it runs at a time, so a
+running loop keeps its pass count on its Block.  The engine takes one
+step per line: it moves the pc past a line when it fetches it, and a
+directive that jumps sets an absolute target.  run steps the top program in an inner loop
 that calls _compiled only on a miss in its ops and leaves only to push
 or pop, so fetch stays the one point every line passes.  A loop's
 opening line runs once, on entry; its closing line ('#endw' re-testing
@@ -68,13 +69,16 @@ class Limits:
     max_depth: int = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     kind: str                      # "if" | "while" | "repeat"
     open_idx: int
     arms: list[int] = field(default_factory=list)  # elifs, then the else
     else_idx: Optional[int] = None  # the else again, for the order checks
     close_idx: int = -1
+    # a running loop's passes so far and repeat count, set on each entry
+    passes: int = 0
+    times: Optional[int] = None
 
 
 _OPENERS = {"if": "endif", "while": "endw", "repeat": "until"}
@@ -154,8 +158,6 @@ class Program:
     # compiled forms by line, kept as the module docstring says
     ops: dict[Line, object] = field(default_factory=dict)
     pc: int = 0
-    # [passes, repeat count or None] of each running loop, by open line
-    loops: dict[int, list] = field(default_factory=dict)
 
 
 class ControlEngine:
@@ -279,7 +281,7 @@ class ControlEngine:
         prog.pc = block.close_idx + 1
 
     def _while(self, prog: Program, block: Block, cond, pos: Position):
-        prog.loops[block.open_idx] = [0, None]
+        block.passes = 0
         self._next_pass(prog, block, cond(self.lookup), pos)
 
     def _endw(self, prog: Program, block: Block, arg, pos: Position):
@@ -292,13 +294,12 @@ class ControlEngine:
             times = self._count(count, pos, "repeat count")
             if times < 0:
                 raise EvalError("negative repeat count", pos)
-        prog.loops[block.open_idx] = [0, times]
+        block.passes, block.times = 0, times
         self._next_pass(prog, block, times != 0, pos)
 
     def _until(self, prog: Program, block: Block, cond, pos: Position):
-        passes, times = prog.loops[block.open_idx]
         done = cond is not None and cond(self.lookup)
-        again = not done and (times is None or passes < times)
+        again = not done and (block.times is None or block.passes < block.times)
         self._next_pass(prog, block, again, pos)
 
     def _print(self, prog: Program, entry, values, pos: Position) -> None:
@@ -315,9 +316,8 @@ class ControlEngine:
         if not again:
             prog.pc = block.close_idx + 1
             return
-        counter = prog.loops[block.open_idx]
-        counter[0] += 1
-        if counter[0] > self.limits.max_loop:
+        block.passes += 1
+        if block.passes > self.limits.max_loop:
             raise LimitError(
                 f"loop iteration limit exceeded ({self.limits.max_loop})", pos
             )

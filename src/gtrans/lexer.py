@@ -265,6 +265,20 @@ def dotted_name_end(tokens, start: int = 0) -> int:
     return j
 
 
+def labeled_data_keyword(tokens) -> int | None:
+    """Index of the data keyword of a labeled data line, 'name [:] keyword
+    values' with a dotted name, or None for a line of any other shape."""
+    if tokens[0].kind is not TokenKind.IDENTIFIER:
+        return None
+    k = dotted_name_end(tokens)
+    if k < len(tokens) and tokens[k].is_punct(":"):
+        k += 1
+    if (k < len(tokens) and tokens[k].kind is TokenKind.IDENTIFIER
+            and tokens[k].text in DATA_KEYWORDS):
+        return k
+    return None
+
+
 def classify(tokens) -> LineKind:
     """Decide what shape a token line has.  Pure and total.
 
@@ -317,7 +331,6 @@ def tokenize_lines(text: str, file: str = "<input>") -> list[Line]:
 
 
 __all__ = [
-    "DATA_KEYWORDS",
     "Line",
     "LineKind",
     "Token",
@@ -326,6 +339,7 @@ __all__ = [
     "decimal_value",
     "dotted_name",
     "dotted_name_end",
+    "labeled_data_keyword",
     "make_line",
     "render",
     "tokenize",

@@ -7,6 +7,14 @@ lines, labels and anything it cannot interpret pass through untouched;
 that keeps the stream a faithful copy of the input when no source-level
 features are used.
 
+Filling a class body and rewriting a line are one operation,
+classes.splice: an expansion is each body line spliced under the
+binding, and a rewrite is one round of embedded calls, each splicing a
+one-line body, then one substitution step, a splice under the
+substitutions.  A rewrite leaves a line's data keyword, label and
+assignment target alone, so a labeled data line has only its values
+rewritten, as an unlabeled one does.
+
 Assignment lines pass through for the second phase to execute, but they
 are also bound here on a best-effort basis so '#' conditions can see
 them; a right side this phase cannot evaluate (say it uses a label) is
@@ -36,12 +44,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .classes import ClassTable, expand_body, expand_calls
+from .classes import ClassTable, expand_calls, splice
 from .engine import ControlEngine, Limits, Program
 from .errors import EvalError, StructureError
 from .expr import Value, compile_expr
 from .lexer import Line, LineKind, Token, TokenKind, make_line
-from .lexer import dotted_name, dotted_name_end
+from .lexer import dotted_name, dotted_name_end, labeled_data_keyword
 
 # what a rewritten line may become and still reach the stream
 _EMITTED = (
@@ -107,8 +115,9 @@ class _SourceHandler:
         nor a line, the line is dropped.
 
         A plain or '#' line may invoke a class; otherwise the line is
-        rewritten once (a plain line whole, the values of a data line,
-        the right side of an assignment) and dispatched by its new shape.
+        rewritten once (the values of a data line, labeled or not, the
+        right side of an assignment, any other plain line whole) and
+        dispatched by its new shape.
         Replacements advance one step per scan, so the rewrite is not
         repeated; class resolution is, as that is the point of substituting.
         """
@@ -120,15 +129,15 @@ class _SourceHandler:
             if kind is LineKind.SOURCE_DIRECTIVE:
                 t0 = tokens[0]
                 raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
-            start = 0
+            keyword = labeled_data_keyword(tokens)  # its values, if labeled
+            start = 0 if keyword is None else keyword + 1
         elif kind is LineKind.DATA_EMISSION:
             start = 1
         else:  # an assignment
             start = dotted_name_end(tokens) + 1
         part = list(tokens[start:])
         expanded = expand_calls(part, self.table, self.limits.max_depth)
-        substituted = self.table.substitute(expanded)
-        final = expanded if substituted is None else substituted
+        final = self.table.substitute(expanded)
         if final != part:
             line = make_line([*tokens[:start], *final], line.pos)
             kind, tokens = line.kind, line.tokens
@@ -154,7 +163,8 @@ class _SourceHandler:
         resolved = self.table.resolve(t0.text, line.tokens[1:])
         if resolved is None:
             return None
-        body = expand_body(*resolved)
+        cls, binding = resolved
+        body = [splice(tokens, binding) for tokens in cls.body]
         lines = [make_line(t, t[0].pos if t else line.pos) for t in body]
         return Program(_frame(lines))
 

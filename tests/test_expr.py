@@ -301,6 +301,7 @@ def test_literal_right_operands_match_the_oracle(text):
         ('"a" < 1', "t.s:1:5: operator '<' needs integer operands"),
         ('"a" % 3', "t.s:1:5: operator '%' needs integer operands"),
         ('"a" / 0', "t.s:1:5: operator '/' needs integer operands"),
+        ('"a" << 1', "t.s:1:5: operator '<<' needs integer operands"),
         ('"a" + 1', "t.s:1:5: operator '+' needs two integers or two strings"),
         ("1 / 0", "t.s:1:3: division by zero"),
         ("1 % 0", "t.s:1:3: modulo by zero"),

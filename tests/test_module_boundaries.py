@@ -211,48 +211,82 @@ def test_no_module_imports_an_unused_name():
     assert faults == []
 
 
-def dead_exports(modules, others):
+def _reads_through(tree):
+    """(module, name) for each name that tree imports from a module or
+    reads as an attribute of one: 'from pkg.m import n', 'from .m import
+    n' and 'm.n' (or 'pkg.m.n') each give ('m', 'n'), and 'from . import
+    n' gives ('', 'n')."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            found.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            if isinstance(value, ast.Name):
+                found.add((value.id, node.attr))
+            elif isinstance(value, ast.Attribute):
+                found.add((value.attr, node.attr))
+    return found
+
+
+def dead_exports(modules, others, package):
     """(module, name) for each name in the __all__ of a module in modules
-    that no other source, in modules or in others, imports or reads as a
-    name or an attribute.  Both map a path to its source text; dunder
+    that no other source, in modules or in others, reads through that
+    module: imports from it or reads as its attribute.  Both map a path
+    to its source text; '__init__.py' is the package itself.  Dunder
     names such as __version__ are left to the tools that read them."""
     sources = {**others, **modules}
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    reads = {
-        path: set(_reads(tree)).union(
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        )
-        for path, tree in trees.items()
-    }
+    reads = {path: _reads_through(tree) for path, tree in trees.items()}
+
+    def names(path):  # what the module is called where it is read
+        stem = Path(path).stem
+        return (package, "") if stem == "__init__" else (stem,)
+
     return sorted(
         (path, name)
         for path in modules
         for name in _exports(trees[path])
         if not name.endswith("__")
-        and not any(name in read for p, read in reads.items() if p != path)
+        and not any(
+            (module, name) in read
+            for p, read in reads.items()
+            if p != path
+            for module in names(path)
+        )
     )
 
 
 def test_checker_finds_dead_exports():
     modules = {
+        "__init__.py": "from .a import imported\n__all__ = ['imported']\n",
         "a.py": (
             "__all__ = ['used', 'imported', 'own', 'unused', '__version__']\n"
             "def used(): pass\ndef own(): pass\nown()\n"
         ),
         "b.py": (
             "__all__ = ['helper']\n"
-            "from a import imported\nimport a\na.used()\n"
+            "from .a import imported\nimport pkg.a\npkg.a.used()\n"
         ),
     }
-    others = {"t.py": "from b import helper\n"}
-    assert dead_exports(modules, others) == [
+    others = {"t.py": "from pkg.b import helper\nfrom pkg import imported\n"}
+    assert dead_exports(modules, others, "pkg") == [
         ("a.py", "own"), ("a.py", "unused")
     ]
-    assert dead_exports(modules, {}) == [
-        ("a.py", "own"), ("a.py", "unused"), ("b.py", "helper")
+    assert dead_exports(modules, {}, "pkg") == [
+        ("__init__.py", "imported"), ("a.py", "own"), ("a.py", "unused"),
+        ("b.py", "helper"),
+    ]
+    # a read counts only through the exporting module: not as the same
+    # attribute of another object, nor as an import from another module
+    modules = {"a.py": "__all__ = ['ClassDef', 'helper']\n"}
+    others = {
+        "t.py": "import ast\nast.ClassDef\nobj.helper()\n"
+                "from pkg.b import helper\n",
+    }
+    assert dead_exports(modules, others, "pkg") == [
+        ("a.py", "ClassDef"), ("a.py", "helper")
     ]
 
 
@@ -268,7 +302,7 @@ def test_every_export_is_read_elsewhere():
         for path in sorted((root / folder).glob("*.py"))
     }
     assert len(others) >= 10
-    assert dead_exports(modules, others) == []
+    assert dead_exports(modules, others, "gtrans") == []
 
 
 def called_names(source):

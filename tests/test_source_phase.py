@@ -713,6 +713,33 @@ def test_rewrite_scope():
     assert rendered("n := 3\n@print n\n") == "@print n"
 
 
+@pytest.mark.parametrize("label", ["x", "x :", "x . f", "x . f :"])
+def test_labeled_data_line_keeps_its_label_and_keyword(label):
+    # only the values of 'name [:] keyword values' are rewritten
+    assert rendered(f"db := dw\n{label} db 1\n") == f"{label} db 1"
+    assert emitted(f"db := dw\n{label} db 1\n") == b"\x01"
+    stream, _, _, _ = run(f"y = 5\nx := y\n{label} db x\n")
+    assert render(stream) == f"y = 5\n{label} db y"
+    name = label.rstrip(" :").replace(" ", "")
+    assert run_dest_phase(stream).labels == {name: 0}
+
+
+def test_labeled_data_line_expands_calls_in_its_values():
+    src = "class E(v) { v * 2 }\nx : db E(3) + 1\n"
+    assert rendered(src) == "x : db 3 * 2 + 1"
+    assert emitted(src) == b"\x07"
+    # a keyword that names a class is still the keyword
+    src = "class db(v) { dw v }\nx db (2)\n"
+    assert rendered(src) == "x db ( 2 )"
+    assert emitted(src) == b"\x02"
+
+
+def test_labeled_data_line_may_still_invoke_a_class():
+    # a class named like the label takes the line first
+    src = "class x .. rest { db 9 }\nx db 1\nx : db 1\n"
+    assert rendered(src) == "db 9\ndb 9"
+
+
 def test_embedded_call_in_data_values():
     src = "class E(x) { x * 2 }\ndb E(3) + 1\n"
     assert rendered(src) == "db 3 * 2 + 1"
