@@ -34,6 +34,14 @@ the segment between it and the part already matched.
 Resolution skips a candidate without a variadic tail, unmatched, when
 one of its separator texts occurs nowhere in the arguments.  Such a
 pattern can never match, so the winner is the one trying them all gives.
+
+Matching reads only separator texts and bracket nesting, so its outcome
+depends only on the arguments' shape: operator and punctuation texts and
+the kinds of other tokens.  Until the next define under a name, the table
+keeps its winner per shape, with its parameters' spans (index ranges) and
+the body's layout (see _layout).  A name with a variadic definition is
+resolved afresh each time, its layout leaving every line to the binding:
+its shape would read the tail.
 """
 
 from __future__ import annotations
@@ -43,10 +51,12 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import LimitError, Position, StructureError
-from .lexer import Token, TokenKind
+from .lexer import Line, LineKind, Token, TokenKind, classify
 
 _OPEN = ("(", "[", "{")
 _CLOSE = (")", "]", "}")
+# kinds of line that may open a brace block
+BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,8 @@ class Sep:
 
 
 Element = Union[Param, Sep]
-Binding = dict[str, tuple[Token, ...]]
+Binding = dict[str, Sequence[Token]]
+Spans = list[tuple[str, slice]]  # each parameter's range in the arguments
 
 
 @dataclass(frozen=True)
@@ -150,26 +161,26 @@ def _run_at(args, depths, s: int, texts) -> bool:
     )
 
 
-def _bind_run(binding: Binding, run: list[str], seg: Sequence[Token]) -> bool:
-    """Distribute a segment over a parameter run, one token each except
+def _bind_run(spans: Spans, run: list[str], lo: int, hi: int) -> bool:
+    """Distribute args[lo:hi] over a parameter run, one token each except
     the last, which takes the remainder.  Every parameter needs one, and
     an empty run takes only an empty segment."""
     if not run:
-        return not seg
-    if len(seg) < len(run):
+        return lo == hi
+    if hi - lo < len(run):
         return False
-    for k, name in enumerate(run[:-1]):
-        binding[name] = (seg[k],)
-    binding[run[-1]] = tuple(seg[len(run) - 1 :])
+    for k, name in enumerate(run[:-1], lo):
+        spans.append((name, slice(k, k + 1)))
+    spans.append((run[-1], slice(lo + len(run) - 1, hi)))
     return True
 
 
-def _match_full(elements, args) -> Optional[Binding]:
+def _match_full(elements, args) -> Optional[Spans]:
     """Right to left in one pass: each separator is placed below hi, the
     start of what is already matched, and the parameters between the
     two take args[end:hi]."""
     depths = list(_iter_depths(args))
-    binding: Binding = {}
+    spans: Spans = []
     run: list[str] = []  # parameters after the next separator
     hi = len(args)
     last = len(elements) - 1
@@ -184,18 +195,18 @@ def _match_full(elements, args) -> Optional[Binding]:
         elif k == 0:
             starts = starts[-1:]  # anchored at the start
         s = next((s for s in starts if _run_at(args, depths, s, e.texts)), None)
-        if s is None or not _bind_run(binding, run, args[s + len(e.texts) : hi]):
+        if s is None or not _bind_run(spans, run, s + len(e.texts), hi):
             return None
         run, hi = [], s
-    return binding if _bind_run(binding, run, args[:hi]) else None
+    return spans if _bind_run(spans, run, 0, hi) else None
 
 
-def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
+def _match_variadic(fixed, tail: str, args) -> Optional[Spans]:
     """Left to right in one pass, the mirror of _match_full: each
     separator takes its leftmost top-level run that leaves a token for
     every parameter before it, and those parameters take args[lo:start].
     Depths are computed only as far as the scan reaches, and the tail is
-    sliced off unread."""
+    never read."""
     depths: list[int] = []
     lazy = _iter_depths(args)
 
@@ -203,7 +214,7 @@ def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
         depths.extend(islice(lazy, s + len(texts) - len(depths)))
         return _run_at(args, depths, s, texts)
 
-    binding: Binding = {}
+    spans: Spans = []
     run: list[str] = []  # parameters after the last separator
     lo = 0
     for e in fixed:
@@ -214,21 +225,26 @@ def _match_variadic(fixed, tail: str, args) -> Optional[Binding]:
         if not run:
             starts = starts[:1]  # anchored where the last one ended
         s = next((s for s in starts if top_run_at(s, e.texts)), None)
-        if s is None or not _bind_run(binding, run, args[lo:s]):
+        if s is None or not _bind_run(spans, run, lo, s):
             return None
         run, lo = [], s + len(e.texts)
     # trailing parameters take one token each, the tail all after them
     end = lo + len(run)
-    if not _bind_run(binding, run, args[lo:end]):
+    if not _bind_run(spans, run, lo, min(end, len(args))):
         return None
-    binding[tail] = tuple(args[end:])
-    return binding
+    spans.append((tail, slice(end, None)))
+    return spans
 
 
-def match(cls: ClassDef, args: Sequence[Token]) -> Optional[Binding]:
+def _spans(cls: ClassDef, args: Sequence[Token]) -> Optional[Spans]:
     if cls.variadic is None:
         return _match_full(cls.fixed, args)
     return _match_variadic(cls.fixed, cls.variadic, args)
+
+
+def match(cls: ClassDef, args: Sequence[Token]) -> Optional[Binding]:
+    spans = _spans(cls, args)
+    return None if spans is None else {p: args[s] for p, s in spans}
 
 
 def splice(tokens: Sequence[Token], runs: Binding) -> list[Token]:
@@ -245,6 +261,20 @@ def splice(tokens: Sequence[Token], runs: Binding) -> list[Token]:
     return out
 
 
+def _layout(cls: ClassDef, binding: Binding):
+    """cls's body for the shape of binding's arguments: per line, its one
+    Line if it names no parameter, else (tokens, kind, position), both
+    None if a parameter starts it; then whether a line may open a block."""
+    items, kinds = [], []
+    for tokens in cls.body:
+        named = [t.kind is TokenKind.IDENTIFIER and t.text in binding for t in tokens]
+        kind = None if any(named[:1]) else classify(splice(tokens, binding))
+        pos = kind and (tokens[0].pos if tokens else cls.pos)
+        items.append((tokens, kind, pos) if any(named) else Line(tokens, kind, pos))
+        kinds.append(kind)
+    return tuple(items), any(k is None or k in BRACED for k in kinds)
+
+
 class ClassTable:
     """All class definitions plus the symbol substitutions.  version
     counts changes to either: a rewrite holds while the version stands."""
@@ -252,6 +282,8 @@ class ClassTable:
     def __init__(self) -> None:
         self.defs: list[ClassDef] = []
         self._by_name: dict[str, list[ClassDef]] = {}
+        self._variadic: set[str] = set()  # names with a variadic definition
+        self._entries: dict[str, dict] = {}  # name: {shape: (cls, spans, layout)}
         self.substitutions: dict[str, tuple[Token, ...]] = {}
         self.version = 0
 
@@ -278,30 +310,47 @@ class ClassTable:
         self.version += 1
         for key in (name, *aliases):
             self._by_name.setdefault(key, []).append(cls)
+            self._entries.pop(key, None)
+        if variadic is not None:
+            self._variadic.update((name, *aliases))
         return cls
 
     def has_name(self, name: str) -> bool:
         return name in self._by_name
 
     def resolve(self, name: str, args: Sequence[Token]):
-        """Newest matching definition under this name, or None.
+        """(newest matching definition under this name, its binding, the
+        body's layout for the arguments' shape), or None.
 
         Definitions are tried last to first; the first whose pattern
         matches the arguments wins.  One without a variadic tail is skipped
         unmatched when a separator text of it is absent from the arguments
         (a variadic one is not: the check would read its whole tail).
+        A winner is kept per shape (see the module docstring).
         """
-        present = None
-        for cls in reversed(self._by_name.get(name, ())):
-            if cls.variadic is None and cls.seps:
-                if present is None:
-                    present = {t.text for t in args}
-                if not cls.seps <= present:
-                    continue
-            binding = match(cls, args)
-            if binding is not None:
-                return cls, binding
-        return None
+        shape = None if name in self._variadic else tuple([
+            t.text if t.kind >= TokenKind.OPERATOR else t.kind for t in args])
+        entry = self._entries.get(name, {}).get(shape)
+        if entry is None:
+            present = None
+            for cls in reversed(self._by_name.get(name, ())):
+                if cls.variadic is None and cls.seps:
+                    if present is None:
+                        present = {t.text for t in args}
+                    if not cls.seps <= present:
+                        continue
+                spans = _spans(cls, args)
+                if spans is not None:
+                    entry = cls, spans, None
+                    break
+            else:
+                return None
+        cls, spans, layout = entry
+        binding = {p: args[s] for p, s in spans}
+        if shape is not None and layout is None:  # a new shape
+            layout = _layout(cls, binding)
+            self._entries.setdefault(name, {})[shape] = cls, spans, layout
+        return cls, binding, layout or ([(t, None, None) for t in cls.body], True)
 
     def set_substitution(self, name: str, replacement: Sequence[Token]) -> None:
         self.substitutions[name] = tuple(replacement)
@@ -350,7 +399,7 @@ def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> lis
             if close is not None:
                 m = table.resolve(t.text, toks[i + 1 : close + 1])
                 if m is not None:
-                    cls, binding = m
+                    cls, binding, _ = m
                     if len(cls.body) != 1:
                         raise StructureError(
                             f"class '{t.text}' cannot expand inside a line: "
@@ -371,6 +420,7 @@ def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> lis
 
 
 __all__ = [
+    "BRACED",
     "ClassTable",
     "Param",
     "Sep",

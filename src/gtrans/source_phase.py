@@ -8,10 +8,11 @@ that keeps the stream a faithful copy of the input when no source-level
 features are used.
 
 Filling a class body and rewriting a line are one operation,
-classes.splice: an expansion is each body line spliced under the
-binding, and a rewrite is one round of embedded calls, each splicing a
-one-line body, then one substitution step, a splice under the
-substitutions.  A rewrite leaves a line's data keyword, label and
+classes.splice.  An expansion follows the layout resolution gives: it
+shares one Line per body line that names no parameter, and splices each
+other under the binding.  A rewrite is one round of embedded calls,
+each splicing a one-line body, then one substitution step, a splice
+under the substitutions.  A rewrite leaves a line's data keyword, label and
 assignment target alone, so a labeled data line has only its values
 rewritten, as an unlabeled one does.
 
@@ -44,11 +45,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .classes import ClassTable, expand_calls, splice
+from .classes import BRACED, ClassTable, expand_calls, splice
 from .engine import ControlEngine, Limits, Program
 from .errors import EvalError, StructureError
 from .expr import Value, compile_expr
-from .lexer import Line, LineKind, Token, TokenKind, make_line
+from .lexer import Line, LineKind, Token, TokenKind, classify, make_line
 from .lexer import dotted_name, dotted_name_end, labeled_data_keyword
 
 # what a rewritten line may become and still reach the stream
@@ -63,8 +64,6 @@ _EMITTED = (
 # does not know, which may name a class
 _PLANNED = (LineKind.PLAIN, LineKind.DATA_EMISSION, LineKind.ASSIGNMENT,
             LineKind.SOURCE_DIRECTIVE)
-# lines that may open a brace block
-_BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
 
 
 class _SourceHandler:
@@ -156,17 +155,18 @@ class _SourceHandler:
 
     def _invoke(self, line: Line) -> Optional[Program]:
         """The framed expansion of a command-style invocation, or None."""
-        # class names are identifiers, so no other token can match one
-        t0 = line.tokens[0]
-        if not self.table.has_name(t0.text):
-            return None
-        resolved = self.table.resolve(t0.text, line.tokens[1:])
+        resolved = self.table.resolve(line.tokens[0].text, line.tokens[1:])
         if resolved is None:
             return None
-        cls, binding = resolved
-        body = [splice(tokens, binding) for tokens in cls.body]
-        lines = [make_line(t, t[0].pos if t else line.pos) for t in body]
-        return Program(_frame(lines))
+        _, binding, (body, framed) = resolved
+        lines = []
+        for item in body:
+            if type(item) is tuple:  # a line that names a parameter
+                tokens, kind, pos = item
+                t = tuple(splice(tokens, binding))
+                item = Line(t, kind or classify(t), pos or (t[0].pos if t else line.pos))
+            lines.append(item)
+        return Program(_frame(lines) if framed else lines)
 
     def _define(self, line: Line) -> None:
         """Register the class a definition line spells."""
@@ -216,7 +216,7 @@ def _frame(lines: Sequence[Line]) -> list[Line]:
     while i < n:
         line = lines[i]
         i += 1
-        if line.kind not in _BRACED:
+        if line.kind not in BRACED:
             out.append(line)
             continue
         head = line.tokens

@@ -1,6 +1,6 @@
 """Bytecodes per stage of one seeded benchmark translation.
 
-    python tests/opcount.py [WORKLOAD ...] [--seed S]
+    python tests/opcount.py [WORKLOAD ...] [--seed S] [--functions N]
 
 Translates each named workload of pipebench/workloads.py (all three by
 default, seed 1) once through cli.translate() under sys.settrace with
@@ -9,7 +9,13 @@ f_trace_opcodes, and prints the opcode events of each stage: lex
 (resolve_guarded_regions), dest (the rest of run_dest_phase), format
 (format_output) and other (cli.translate around them), then the total and
 the total per input line.  Every Python frame a stage runs counts
-toward it, the standard library's included.
+toward it, the standard library's included.  With --functions N, each
+stage also lists the N functions that ran the most of its events.
+
+A second, untraced translation of the same workload, after a full
+collection, counts the cyclic garbage collector's collections per
+generation and the time spent in them.  The counts repeat from run to
+run, since they follow the translation's allocations; the time does not.
 
 Unlike a time, the counts repeat exactly: two runs, or runs under
 different PYTHONHASHSEED values, print the same numbers.  They explain
@@ -21,49 +27,73 @@ reference image.
 """
 
 import argparse
+import gc
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 STAGES = ("lex", "source", "guards", "dest", "format", "other")
 
 
-def count(translate, config, entry_points) -> tuple[dict[str, int], object]:
-    """(opcode events by stage, the translation's report) of one traced
-    translate(config).  entry_points maps a stage's function to its name;
-    a frame counts toward the innermost stage whose function is running."""
+def count(translate, config, entry_points) -> tuple[dict, object]:
+    """(opcode events by stage and function, the translation's report) of
+    one traced translate(config).  entry_points maps a stage's function to
+    its name; a frame counts toward the innermost stage whose function is
+    running.  The events are keyed by (stage, code object)."""
     stages = {fn.__code__: name for fn, name in entry_points.items()}
-    counts = dict.fromkeys(STAGES, 0)
+    cells: dict[tuple, list[int]] = {}
     running = ["other"]
-
-    def local(frame, event, arg):
-        if event == "opcode":
-            counts[running[-1]] += 1
-        return local
-
-    def stage_local(frame, event, arg):
-        if event == "opcode":
-            counts[running[-1]] += 1
-        elif event == "return":  # also when the frame unwinds
-            running.pop()
-        return stage_local
 
     def on_call(frame, event, arg):
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         stage = stages.get(frame.f_code)
-        if stage is None:
+        if stage is not None:
+            running.append(stage)
+        cell = cells.setdefault((running[-1], frame.f_code), [0])
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                cell[0] += 1
+            elif event == "return" and stage is not None:  # or unwinds
+                running.pop()
             return local
-        running.append(stage)
-        return stage_local
+
+        return local
 
     sys.settrace(on_call)
     try:
         report = translate(config)
     finally:
         sys.settrace(None)
-    return counts, report
+    return {key: cell[0] for key, cell in cells.items()}, report
+
+
+def gc_collections(translate, config) -> tuple[list[int], float]:
+    """(collections per generation, seconds in them) of one untraced
+    translate(config) that starts after a full collection."""
+    done, spent, started = [0, 0, 0], [0.0], [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            done[info["generation"]] += 1
+            spent[0] += time.perf_counter() - started[0]
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        translate(config)
+    finally:
+        gc.callbacks.remove(on_gc)
+    return done, spent[0]
+
+
+def _where(code) -> str:
+    return f"{Path(code.co_filename).name}:{code.co_firstlineno} {code.co_qualname}"
 
 
 def main(argv) -> int:
@@ -78,6 +108,8 @@ def main(argv) -> int:
     ap.add_argument("workloads", nargs="*", default=list(workloads.NAMES),
                     metavar="WORKLOAD", help=", ".join(workloads.NAMES))
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--functions", type=int, default=0, metavar="N",
+                    help="list the N costliest functions of each stage")
     args = ap.parse_args(argv)
     unknown = set(args.workloads).difference(workloads.NAMES)
     if unknown:
@@ -100,16 +132,23 @@ def main(argv) -> int:
             config = TranslatorConfig(rule_files=[str(rules)],
                                       source=str(source), output=str(output),
                                       format=work.format)
-            counts, report = count(translate, config, entry_points)
+            events, report = count(translate, config, entry_points)
             problem = (f"status {report.status}: {report.diagnostics[:3]}"
                        if report.status != "ok"
                        else work.check(output.read_bytes()))
-        total = sum(counts.values())
+            done, spent = gc_collections(translate, config)
+        total = sum(events.values())
         print(f"{name} seed {args.seed}: {work.input_lines:,} input lines")
         for stage in STAGES:
-            print(f"  {stage:<8}{counts[stage]:>14,}")
+            mine = sorted(((n, code) for (s, code), n in events.items()
+                           if s == stage), key=lambda e: -e[0])
+            print(f"  {stage:<8}{sum(n for n, _ in mine):>14,}")
+            for n, code in mine[: args.functions]:
+                print(f"    {n:>14,}  {_where(code)}")
         print(f"  {'total':<8}{total:>14,}  "
               f"({total / work.input_lines:,.0f} per input line)")
+        print(f"  gc collections by generation {done[0]:,} / {done[1]:,} / "
+              f"{done[2]:,}, {spent:.3f} s (untraced run)")
         if problem:
             print(f"  FAILED: {problem}")
             status = 1

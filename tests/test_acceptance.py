@@ -124,7 +124,7 @@ def test_c06_split_precedence_by_order(tmp_path):
     for header in ("E x", "E x * y", "E x + y"):
         t = tokenize(header)
         table.define(t[0].text, t[1:], [], (), t[0].pos)
-    cls, binding = table.resolve("E", tokenize("a * b + c"))
+    cls, binding, _ = table.resolve("E", tokenize("a * b + c"))
     assert cls.fixed[1].texts == ("+",)
     assert [t.text for t in binding["x"]] == ["a", "*", "b"]
     assert [t.text for t in binding["y"]] == ["c"]
@@ -162,7 +162,7 @@ def test_c06_split_precedence_by_order(tmp_path):
             )
         args = tokenize(text)
         texts = [t.text for t in args]
-        cls, binding = table.resolve("E", args)
+        cls, binding, _ = table.resolve("E", args)
         for op in ("+", "*"):
             hits = top_level_positions(texts, [op])
             if hits:

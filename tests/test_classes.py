@@ -15,7 +15,7 @@ from gtrans.classes import (
 )
 from gtrans.engine import Limits
 from gtrans.errors import LimitError, NO_POS, StructureError
-from gtrans.lexer import render, tokenize, tokenize_lines
+from gtrans.lexer import TokenKind, render, tokenize, tokenize_lines
 from gtrans.source_phase import run_source_phase
 
 from oracles import oracle_match, rightmost_binary_split, top_level_positions
@@ -219,7 +219,7 @@ def test_newest_definition_wins():
     table = ClassTable()
     define(table, "Sum x + y", ["S1 ( x , y )"])
     define(table, "Sum x + y", ["S2 ( x , y )"])
-    cls, binding = table.resolve("Sum", toks("3 + 4"))
+    cls, binding, _ = table.resolve("Sum", toks("3 + 4"))
     assert render(cls.body[0]).startswith("S2")
     assert bind_texts(binding) == {"x": ["3"], "y": ["4"]}
 
@@ -228,9 +228,9 @@ def test_older_definition_is_fallback():
     table = ClassTable()
     define(table, "op x + y", ["plus"])
     define(table, "op x * y", ["times"])
-    cls, _ = table.resolve("op", toks("1 + 2"))
+    cls, _, _ = table.resolve("op", toks("1 + 2"))
     assert render(cls.body[0]) == "plus"
-    cls, _ = table.resolve("op", toks("1 * 2"))
+    cls, _, _ = table.resolve("op", toks("1 * 2"))
     assert render(cls.body[0]) == "times"
     assert table.resolve("op", toks("1 ^ 2")) is None
 
@@ -241,10 +241,10 @@ def test_precedence_from_definition_order():
     define(table, "E x", ["atom ( x )"])
     define(table, "E x * y", ["mul ( x , y )"])
     define(table, "E x + y", ["add ( x , y )"])
-    cls, binding = table.resolve("E", toks("a * b + c"))
+    cls, binding, _ = table.resolve("E", toks("a * b + c"))
     assert render(cls.body[0]).startswith("add")
     assert bind_texts(binding) == {"x": ["a", "*", "b"], "y": ["c"]}
-    cls, binding = table.resolve("E", toks("a * b"))
+    cls, binding, _ = table.resolve("E", toks("a * b"))
     assert render(cls.body[0]).startswith("mul")
 
 
@@ -252,9 +252,9 @@ def test_aliases_resolve_to_same_definition():
     table = ClassTable()
     define(table, "add x + y", ["sum ( x , y )"], aliases=("plus", "sum2"))
     assert table.has_name("plus")
-    cls, _ = table.resolve("plus", toks("1 + 2"))
+    cls, _, _ = table.resolve("plus", toks("1 + 2"))
     assert cls.name == "add"
-    cls2, _ = table.resolve("sum2", toks("1 + 2"))
+    cls2, _, _ = table.resolve("sum2", toks("1 + 2"))
     assert cls2 is cls
 
 
@@ -528,24 +528,56 @@ def _sep_texts(cls):
     return {t for e in cls.fixed if isinstance(e, Sep) for t in e.texts}
 
 
+def _same_shape(args):
+    """Tokens of args' shape, operator and punctuation texts and the kind
+    of every other token, with other texts, on another line and column."""
+    other = {TokenKind.IDENTIFIER: "zz", TokenKind.INTEGER: "77"}
+    return tokenize("   " + " ".join(other.get(t.kind, t.text) for t in args),
+                    "u.s", 9)
+
+
+def _check_resolve(table, name, args):
+    """Resolve args twice, and a list of the same shape once, against
+    trying every candidate; returns what trying every candidate gave."""
+    expect = _resolve_by_trying_all(table, name, args)
+    for got in (table.resolve(name, args), table.resolve(name, args)):
+        if expect is None:
+            assert got is None
+            continue
+        assert got is not None and got[0] is expect[0]
+        assert bind_texts(got[1]) == bind_texts(expect[1])
+    other = _same_shape(args)
+    assert [t.kind for t in other] == [t.kind for t in args]
+    got = table.resolve(name, other)
+    if expect is None:
+        assert got is None
+        return None
+    assert got[0] is expect[0]
+    assert bind_texts(got[1]) == bind_texts(match(expect[0], other))
+    mine = {id(t) for t in other}
+    assert all(id(t) in mine for run in got[1].values() for t in run)
+    return expect
+
+
 def test_resolve_agrees_with_trying_every_candidate():
     rng = random.Random(2024)
     outcomes = {"none": 0, "older": 0, "absent_sep": 0, "sep_not_top": 0}
+    kept = {"none": 0, "hit": 0}  # a name without variadic definitions
     for _ in range(60):
         table = ClassTable()
         for pattern in rng.choices(_OVERLOADS, k=rng.randrange(3, 12)):
             name = "Q" if rng.random() < 0.15 else "R"
             define(table, f"{name} {pattern}", ["x"])
+            if ".." not in pattern:
+                define(table, f"K {pattern}", ["x"])
         for _ in range(40):
             args = toks(_resolve_args(rng))
-            got = table.resolve("R", args)
-            expect = _resolve_by_trying_all(table, "R", args)
+            kept["none" if _check_resolve(table, "K", args) is None
+                 else "hit"] += 1
+            expect = _check_resolve(table, "R", args)
             if expect is None:
-                assert got is None
                 outcomes["none"] += 1
                 continue
-            assert got is not None and got[0] is expect[0]
-            assert bind_texts(got[1]) == bind_texts(expect[1])
             newer = [
                 c for c in table.defs[expect[0].seq + 1 :] if c.name == "R"
             ]
@@ -558,6 +590,7 @@ def test_resolve_agrees_with_trying_every_candidate():
                     else:
                         outcomes["absent_sep"] += 1
     assert min(outcomes.values()) > 300, outcomes
+    assert min(kept.values()) > 300, kept
 
 
 # -- variadic prefix against a leftmost split from the oracle -------------

@@ -13,7 +13,7 @@ from gtrans.errors import (
     StructureError,
     UserAbort,
 )
-from gtrans.lexer import tokenize_lines
+from gtrans.lexer import LineKind, TokenKind, tokenize_lines
 from gtrans.source_phase import run_source_phase
 
 
@@ -929,3 +929,93 @@ def test_limits_hold_inside_a_kept_recursive_expansion():
     with pytest.raises(LimitError, match=r"iteration limit exceeded \(6\)") as info:
         run(loop, env=env, limits=Limits(max_loop=6))
     assert tuple(info.value.pos) == ("t.s", 5, 1) and env == {"i": 3, "k": 6}
+
+
+# -- resolution kept per argument shape --------------------------------------
+
+
+def test_matching_runs_once_per_argument_shape(monkeypatch):
+    import gtrans.classes
+
+    operands = ["{k}", "( {k} + 1 )", "L_{k}", "[ r1 ] + {k}"]
+    invocations = [
+        f"mov r{k % 8} , " + operands[k % 4].replace("{k}", str(k))
+        for k in range(1000)
+    ]
+    shapes = {
+        tuple(t.text if t.kind in (TokenKind.OPERATOR, TokenKind.PUNCTUATION)
+              else t.kind for t in line.tokens[1:])
+        for line in tokenize_lines("\n".join(invocations))
+    }
+    calls = []
+    match_full = gtrans.classes._match_full
+
+    def counting(*args):
+        calls.append(args)
+        return match_full(*args)
+
+    monkeypatch.setattr(gtrans.classes, "_match_full", counting)
+    src = "class mov r , v\n{\ndb 0xB8 + r\ndd v\n}\n" + "\n".join(invocations)
+    stream, _, _, _ = run(src)
+    assert len(stream) == 2000
+    assert [line.render() for line in stream[-2:]] == [
+        "db 0xB8 + r7", "dd [ r1 ] + 999"
+    ]
+    assert len(shapes) == 4 and len(calls) <= len(shapes)
+
+
+def test_a_definition_keeps_what_other_names_resolved(monkeypatch):
+    import gtrans.classes
+
+    calls = []
+    match_full = gtrans.classes._match_full
+
+    def counting(*args):
+        calls.append(args)
+        return match_full(*args)
+
+    monkeypatch.setattr(gtrans.classes, "_match_full", counting)
+    counts = []
+    for n in (10, 200):
+        run(
+            "class op a + b { db a, b }\nclass INC ( v ) { v + 1 }\n"
+            f"i = 0\n#while i < {n}\nclass other x {{ db x }}\nop i + 1\n"
+            "db INC(i)\ni = i + 1\n#endw\n"
+        )
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [2, 2]
+
+
+def test_a_newer_same_shape_overload_takes_over_mid_loop():
+    src = (
+        "class f x { db x }\ni = 0\n#while i < 4\nf i + 1\n#if i = 1\n"
+        "class f a + b { dw a, b }\n#endif\ni = i + 1\n#endw\n"
+    )
+    assert rendered(src) == (
+        "i = 0\ndb i + 1\ni = i + 1\ndb i + 1\ni = i + 1\n"
+        "dw i , 1\ni = i + 1\ndw i , 1\ni = i + 1"
+    )
+
+
+def test_one_body_line_takes_the_kind_of_each_argument_shape():
+    # a plain 'k = 5' line assigns k; a '#' key invokes the class with
+    # '= 5', which makes its body line an assignment to dd
+    src = "class #k v { dd v }\n#k 5\n#k = 5\n#k 6\n#print dd\n"
+    stream, diags, env, _ = run(src)
+    assert render(stream) == "dd 5\ndd = 5\ndd 6"
+    assert [line.kind for line in stream] == [
+        LineKind.DATA_EMISSION, LineKind.ASSIGNMENT, LineKind.DATA_EMISSION
+    ]
+    assert diags == ["5"] and env == {"dd": 5}
+    assert rendered("class k v { dd v }\nk 5\nk = 5\n") == "dd 5\nk = 5"
+
+
+def test_a_body_line_that_starts_with_a_parameter_is_classified_each_time():
+    src = (
+        "class ap f v { f v }\nap dd 5\nap #print 6\nap dd 7\n"
+        "class mk f { f q { db 9 } }\nmk class\nq\n"
+    )
+    stream, diags, _, _ = run(src)
+    assert render(stream) == "dd 5\ndd 7\ndb 9"
+    assert diags == ["6"]
