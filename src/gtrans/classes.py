@@ -283,6 +283,7 @@ class ClassTable:
         self.defs: list[ClassDef] = []
         self._by_name: dict[str, list[ClassDef]] = {}
         self._variadic: set[str] = set()  # names with a variadic definition
+        self._open: list = []  # each definition's layout for a variadic name
         self._entries: dict[str, dict] = {}  # name: {shape: (cls, spans, layout)}
         self.substitutions: dict[str, tuple[Token, ...]] = {}
         self.version = 0
@@ -307,6 +308,7 @@ class ClassTable:
             seps=frozenset(t for e in fixed if isinstance(e, Sep) for t in e.texts),
         )
         self.defs.append(cls)
+        self._open.append((tuple((t, None, None) for t in cls.body), True))
         self.version += 1
         for key in (name, *aliases):
             self._by_name.setdefault(key, []).append(cls)
@@ -350,7 +352,7 @@ class ClassTable:
         if shape is not None and layout is None:  # a new shape
             layout = _layout(cls, binding)
             self._entries.setdefault(name, {})[shape] = cls, spans, layout
-        return cls, binding, layout or ([(t, None, None) for t in cls.body], True)
+        return cls, binding, layout or self._open[cls.seq]
 
     def set_substitution(self, name: str, replacement: Sequence[Token]) -> None:
         self.substitutions[name] = tuple(replacement)

@@ -6,28 +6,32 @@ strings.  The operator set and precedence follow C, with two departures:
 operator) and strings support only '+' on two strings.  Comparisons are
 defined for integers only.
 
-An expression is compiled once, by precedence climbing over its tokens,
-into a tree of closures (Feeley and Lapalme, "Using closures for code
-generation", 1987): compile_expr(tokens) returns fn(lookup) -> value,
-and evaluate is compile_expr(tokens)(lookup).  Compiling never raises.
-A parse fault, or nesting past MAX_NESTING, becomes a node that raises
-it, placed where the parser stopped, so running the tree raises the
-faults of what was read before it first, in reading order, exactly as
-evaluating while parsing would.  A skipped side of '&&'/'||' is not
-run, so its value faults stay silent, but a parse fault in it still
-raises.  A run of operators of one precedence compiles to one loop, so
-a long flat expression runs without deep recursion, and a run of one
-step needs none.  Each step is a closure picked by its operator's class
-as it compiles, so it runs no Python frame but its own: it wraps its
-result, a comparison returns 1 or 0, '/' and '%' truncate and '<<' and
-'>>' check their count, all inline.  An integer literal right operand
-is a value the step holds, not a call.  Results are never bools, and a
-condition is tested by Python's truth: zero and "" are false (README).
+An expression compiles into a tree of closures (Feeley and Lapalme,
+"Using closures for code generation", 1987) in two stages.  The parse
+stage, precedence climbing, reads only the tokens' shape: each operator
+and punctuation token's text, every other token's kind.  The shape
+decides the tree, where each value ends, which leaves are literals or
+names and every fault's token index, so _SHAPES keeps the parse's
+builders per shape; they hold token indices, no token, and the table is
+cleared when it would pass _MAX_SHAPES.  The build stage makes the
+closures from each token list's own values, texts, names and positions.
+Compiling never raises.  A parse fault, or nesting past MAX_NESTING,
+becomes a node that raises it where the parser stopped, so running the
+tree raises the faults read before it first, in reading order.  A
+skipped side of '&&'/'||' is not run, so its value faults stay silent,
+but a parse fault in it still raises.  A run of operators of one
+precedence compiles to one loop.  Each step is a closure picked by its
+operator's class: it wraps its result, a comparison returns 1 or 0, '/'
+and '%' truncate and '<<' and '>>' check their count, all inline.  An
+integer literal right operand is held, neither run nor type-tested.
+Results are never bools, and a condition is tested by Python's truth:
+zero and "" are false (README).
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .errors import EvalError, LimitError, NO_POS, Position
@@ -46,9 +50,9 @@ _UNARY = ("!", "~", "-")
 
 # Deepest expression nesting accepted.  Each parenthesis, each unary
 # operator and each right operand of a tighter-binding operator opens one
-# level.  A level costs the compiler at most three Python frames and a
-# compiled tree two when it runs, so 200 levels stay well inside the
-# interpreter's default recursion limit.
+# level.  A level costs the parse at most three Python frames, a build
+# and a compiled tree two each when they run, so 200 levels stay well
+# inside the interpreter's default recursion limit.
 MAX_NESTING = 200
 
 
@@ -71,18 +75,39 @@ def failing(cls, message: str, pos: Position) -> Expr:
     return lambda lookup: _raise(cls(message, pos))
 
 
-def _fetch(name: str, pos: Position) -> Expr:
+def _number(at: int, toks) -> Expr:
+    v = toks[at].value  # a lexer value is never negative
+    value = v if v <= INT64_MAX else wrap64(v)
+    return lambda lookup: value
+
+
+def _string(at: int, toks) -> Expr:
+    text = toks[at].string_text
+    return lambda lookup: text
+
+
+def _fetch(start: int, end: int, toks) -> Expr:
+    tok = toks[start]
+    name = tok.text if end == start + 1 else dotted_name(toks[start:end])
+
     def fetch(lookup):
         value = lookup(name)
         if value is None:
-            raise EvalError(f"undefined name '{name}'", pos)
+            raise EvalError(f"undefined name '{name}'", tok.pos)
         return value
 
     return fetch
 
 
+def _texts(toks, spans) -> tuple:
+    """The distinct names spans of toks spell, in first-read order."""
+    return tuple(dict.fromkeys([
+        toks[s].text if e == s + 1 else dotted_name(toks[s:e]) for s, e in spans
+    ]))
+
+
 def _unary(tok: Token, operand: Expr) -> Expr:
-    op, pos = tok.text, tok.pos
+    op = tok.text
     if op == "!":
         return lambda lookup: 0 if operand(lookup) else 1
     f = operator.invert if op == "~" else operator.neg
@@ -90,7 +115,7 @@ def _unary(tok: Token, operand: Expr) -> Expr:
     def apply(lookup):
         v = operand(lookup)
         if not isinstance(v, int):
-            raise EvalError(f"operator '{op}' needs an integer operand", pos)
+            raise EvalError(f"operator '{op}' needs an integer operand", tok.pos)
         return wrap64(f(v))
 
     return apply
@@ -104,9 +129,9 @@ def _operands(tok: Token) -> EvalError:
 
 
 # One factory per operator class builds the step of binary operator tok,
-# step(left value, lookup) -> value, which runs right itself unless
-# literal holds the integer literal right is.  f is the operator's
-# function, if any; fault raises the parse fault inside right, if any.
+# step(left value, lookup) -> value, which runs right itself, or with
+# right None takes literal, the integer literal right is.  f is the
+# operator's function, if any; fault raises the parse fault inside right.
 
 
 def _logical(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
@@ -124,8 +149,8 @@ def _logical(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
 
 def _arith(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
     def arith(a, lookup):
-        b = right(lookup) if literal is None else literal
-        if isinstance(a, int) and isinstance(b, int):
+        b = literal if right is None else right(lookup)
+        if isinstance(a, int) and (right is None or isinstance(b, int)):
             v = f(a, b)
             return v if INT64_MIN <= v <= INT64_MAX else wrap64(v)
         if f is operator.add and isinstance(a, str) and isinstance(b, str):
@@ -137,8 +162,8 @@ def _arith(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
 
 def _compare(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
     def compare(a, lookup):
-        b = right(lookup) if literal is None else literal
-        if isinstance(a, int) and isinstance(b, int):
+        b = literal if right is None else right(lookup)
+        if isinstance(a, int) and (right is None or isinstance(b, int)):
             return 1 if f(a, b) else 0
         raise _operands(tok)
 
@@ -147,8 +172,8 @@ def _compare(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
 
 def _shift(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
     def shift(a, lookup):
-        b = right(lookup) if literal is None else literal
-        if isinstance(a, int) and isinstance(b, int):
+        b = literal if right is None else right(lookup)
+        if isinstance(a, int) and (right is None or isinstance(b, int)):
             if 0 <= b <= 63:
                 v = f(a, b)
                 return v if INT64_MIN <= v <= INT64_MAX else wrap64(v)
@@ -160,8 +185,8 @@ def _shift(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
 
 def _divide(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
     def divide(a, lookup):
-        b = right(lookup) if literal is None else literal
-        if isinstance(a, int) and isinstance(b, int):
+        b = literal if right is None else right(lookup)
+        if isinstance(a, int) and (right is None or isinstance(b, int)):
             if b:
                 q = a // b  # rounded down: round toward zero instead
                 if q < 0 and q * b != a:
@@ -175,8 +200,8 @@ def _divide(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
 
 def _modulo(tok: Token, f, right: Expr, literal, fault: Optional[Expr]):
     def modulo(a, lookup):
-        b = right(lookup) if literal is None else literal
-        if isinstance(a, int) and isinstance(b, int):
+        b = literal if right is None else right(lookup)
+        if isinstance(a, int) and (right is None or isinstance(b, int)):
             if b:
                 r = a % b  # takes b's sign: give it a's instead
                 return r - b if r and (a ^ b) < 0 else r
@@ -204,56 +229,64 @@ _BINARY = {
 }
 
 
-def _chain(first: Expr, steps: list) -> Expr:
-    """first, then each step of one precedence run in turn."""
-    if not steps:
-        return first
-    if len(steps) == 1:
-        (step,) = steps
-        return lambda lookup: step(first(lookup), lookup)
+def _chained(first, steps: tuple):
+    """The builder of first, then each step of one precedence run: (factory,
+    operator index, f, right's builder or None, held, fault's builder)."""
+    def build(toks):
+        head = first(toks)
+        built = [make(toks[at], f, right and right(toks),
+                      held and wrap64(toks[held].value), fault and fault(toks))
+                 for make, at, f, right, held, fault in steps]
+        if len(built) == 1:
+            (step,) = built
+            return lambda lookup: step(head(lookup), lookup)
 
-    def chain(lookup):
-        value = first(lookup)
-        for step in steps:
-            value = step(value, lookup)
-        return value
+        def chain(lookup):
+            value = head(lookup)
+            for step in built:
+                value = step(value, lookup)
+            return value
 
-    return chain
+        return chain
 
-
-def _then(fault: Expr):
-    """A step that runs only fault: it follows a complete expression with
-    the parse fault that comes after it."""
-    return lambda a, lookup: fault(lookup)
+    return build
 
 
 class _Compiler:
+    """The parse stage: it returns builders, build(tokens) -> Expr."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
-        # raises the parse fault once the parse has stopped at one
-        self.fault: Optional[Expr] = None
-        # every name read, in a skipped side too, and those read always
-        self.names: dict[str, None] = {}
-        self.reads: dict[str, None] = {}
+        self.fault = None  # builds the parse fault once it stopped at one
+        # spans of every name read, in a skipped side too, and those always
+        self.names, self.reads = [], []
 
-    def here(self) -> Position:
-        tokens = self.tokens
-        return tokens[min(self.i, len(tokens) - 1)].pos if tokens else NO_POS
-
-    def stop(self, message: str, pos=None, cls=EvalError) -> Expr:
-        """End the parse at a fault; returns the node that raises it."""
-        self.fault = failing(cls, message, pos or self.here())
+    def stop(self, message: str, at=None, cls=EvalError):
+        """End the parse at a fault at token index at, or where it is;
+        returns the fault's builder.  '{}' is that token's text."""
+        k = min(self.i, len(self.tokens) - 1) if at is None else at
+        self.fault = lambda toks: failing(cls, message.format(toks[k].text), toks[k].pos)
         return self.fault
 
-    def too_deep(self) -> Expr:
+    def too_deep(self):
         message = f"expression nesting exceeds {MAX_NESTING} levels"
         return self.stop(message, cls=LimitError)
 
+    def followed(self, node, message: str):
+        """The builder of node, then the parse fault message, where it is."""
+        fault = self.stop(message)
+
+        def build(toks):
+            head, stop = node(toks), fault(toks)
+            return lambda lookup: (head(lookup), stop(lookup))  # stop raises
+
+        return build
+
     # -- grammar --
 
-    def expression(self, min_prec: int = 1) -> Expr:
+    def expression(self, min_prec: int = 1):
         self.depth += 1
         if self.depth > MAX_NESTING:
             return self.too_deep()
@@ -267,65 +300,83 @@ class _Compiler:
             prec, make, f = _BINARY.get(tok.text, (0, None, None))
             if prec < min_prec:
                 break
-            self.i += 1
-            start = self.i
+            at = self.i
+            self.i = start = at + 1
+            held = None  # the index of an integer literal right operand
             if prec > 2:
                 right = self.expression(prec + 1)
+                if self.i == start + 1 and tokens[start].kind is TokenKind.INTEGER:
+                    right, held = None, start
             else:  # a side '&&' or '||' may skip: its names are not reads
-                reads, self.reads = self.reads, {}
+                reads, self.reads = self.reads, []
                 right = self.expression(prec + 1)
                 self.reads = reads
-            literal = None  # an integer literal right operand: its value
-            if self.i == start + 1 and tokens[start].kind is TokenKind.INTEGER:
-                v = tokens[start].value  # a lexer value is never negative
-                literal = v if v <= INT64_MAX else wrap64(v)
-            steps.append(make(tok, f, right, literal, self.fault))
+            steps.append((make, at, f, right, held, self.fault))
         self.depth -= 1
-        return _chain(first, steps)
+        return _chained(first, tuple(steps)) if steps else first
 
-    def unary(self) -> Expr:
+    def unary(self):
         if self.i < len(self.tokens):
             tok = self.tokens[self.i]
             if tok.kind is TokenKind.OPERATOR and tok.text in _UNARY:
                 self.depth += 1
                 if self.depth > MAX_NESTING:
                     return self.too_deep()
+                at = self.i
                 self.i += 1
                 operand = self.unary()
                 self.depth -= 1
-                return _unary(tok, operand)
+                return lambda toks: _unary(toks[at], operand(toks))
         return self.primary()
 
-    def primary(self) -> Expr:
+    def primary(self):
         tokens = self.tokens
         if self.i >= len(tokens):
             return self.stop("expected a value")
-        tok = tokens[self.i]
+        at = self.i
+        tok = tokens[at]
         self.i += 1
         if tok.kind is TokenKind.INTEGER:
-            v = tok.value  # a lexer value is never negative
-            value = v if v <= INT64_MAX else wrap64(v)
-            return lambda lookup: value
+            return partial(_number, at)
         if tok.kind is TokenKind.STRING:
-            text = tok.string_text
-            return lambda lookup: text
+            return partial(_string, at)
         if tok.is_punct("("):
             inner = self.expression()
             if self.fault is None:
                 if self.i < len(tokens) and tokens[self.i].is_punct(")"):
                     self.i += 1
                 else:
-                    inner = _chain(inner, [_then(self.stop("missing ')'"))])
+                    inner = self.followed(inner, "missing ')'")
             return inner
         if tok.kind is TokenKind.IDENTIFIER:
-            start = self.i - 1
-            self.i = dotted_name_end(tokens, start)
-            name = tok.text
-            if self.i > start + 1:
-                name = dotted_name(tokens[start : self.i])
-            self.names[name] = self.reads[name] = None
-            return _fetch(name, tok.pos)
-        return self.stop(f"unexpected '{tok.text}'", tok.pos)
+            self.i = dotted_name_end(tokens, at)
+            self.names.append((at, self.i))
+            self.reads.append((at, self.i))
+            return partial(_fetch, at, self.i)
+        return self.stop("unexpected '{}'", at)
+
+
+_SHAPES: dict = {}  # (parse stage, *shape): what it made of that shape
+_MAX_SHAPES = 256
+_OPERATOR = TokenKind.OPERATOR
+
+
+def _recipe(parse, tokens):
+    """parse(_Compiler(tokens)), kept per shape of tokens."""
+    key = (parse, *[t.text if t.kind >= _OPERATOR else t.kind for t in tokens])
+    recipe = _SHAPES.get(key)
+    if recipe is None:
+        if len(_SHAPES) >= _MAX_SHAPES:
+            _SHAPES.clear()
+        recipe = _SHAPES[key] = parse(_Compiler(tokens))
+    return recipe
+
+
+def _whole(c: _Compiler):
+    node = c.expression()
+    if c.fault is None and c.i < len(c.tokens):
+        node = c.followed(node, "unexpected '{}'")
+    return node
 
 
 _NO_NAMES: Lookup = {}.get
@@ -333,19 +384,35 @@ _NO_NAMES: Lookup = {}.get
 
 def compile_expr(tokens) -> Expr:
     """Compile a token sequence as one expression, whole."""
-    c = _Compiler(tokens)
     if not tokens:
-        return c.stop("expected an expression")
-    node = c.expression()
-    if c.fault is None and c.i < len(tokens):
-        fault = c.stop(f"unexpected '{tokens[c.i].text}'")
-        node = _chain(node, [_then(fault)])
-    return node
+        return failing(EvalError, "expected an expression", NO_POS)
+    return _recipe(_whole, tokens)(tokens)
 
 
 def evaluate(tokens, lookup: Lookup | None = None) -> Value:
     """Evaluate a token sequence as one expression, whole."""
     return compile_expr(tokens)(lookup or _NO_NAMES)
+
+
+def _value_list(c: _Compiler):
+    """split_values' parse stage: per value, its builder (None for '?'),
+    end, name spans and read spans (None: the same); the fault's builder."""
+    tokens, values = c.tokens, []
+    while c.i < len(tokens):
+        c.names, c.reads = [], []
+        question = tokens[c.i].is_punct("?")
+        c.i += question
+        value = None if question else c.expression()
+        reads = None if c.reads == c.names else tuple(c.reads)
+        values.append((value, c.i, tuple(c.names), reads))
+        if c.fault is not None or c.i >= len(tokens):
+            break
+        if tokens[c.i].is_punct(","):
+            c.i += 1
+            if c.i >= len(tokens):
+                fault = c.stop("expected a value after ','")
+                values.append((fault, c.i, (), None))
+    return tuple(values), c.fault
 
 
 def split_values(tokens) -> tuple[list, Optional[Expr]]:
@@ -360,26 +427,16 @@ def split_values(tokens) -> tuple[list, Optional[Expr]]:
     undefined, the closure can only raise an EvalError.  A parse fault
     ends the list, inside the last closure or, after a trailing ',', as
     the last closure itself; fault raises it alone, without running
-    anything before it.
+    anything before it.  The ends, trees, name spans and fault tokens are
+    the shape's, parsed once; values, texts, names, positions the list's.
     """
-    c = _Compiler(tokens)
-    values: list = []
-    while c.i < len(tokens):
-        c.names, c.reads = {}, {}
-        if tokens[c.i].is_punct("?"):
-            c.i += 1
-            values.append((None, c.i, (), ()))
-        else:
-            value = c.expression()
-            values.append((value, c.i, tuple(c.names), tuple(c.reads)))
-        if c.fault is not None or c.i >= len(tokens):
-            break
-        if tokens[c.i].is_punct(","):
-            c.i += 1
-            if c.i >= len(tokens):
-                fault = c.stop("expected a value after ','")
-                values.append((fault, c.i, (), ()))
-    return values, c.fault
+    recipe, fault = _recipe(_value_list, tokens)
+    values = []
+    for build, end, names, reads in recipe:
+        names = names and _texts(tokens, names)
+        reads = names if reads is None else reads and _texts(tokens, reads)
+        values.append((build and build(tokens), end, names, reads))
+    return values, fault and fault(tokens)
 
 
 def compile_values(tokens) -> Callable[[Lookup], list[Value]]:

@@ -2,19 +2,22 @@
 
 import random
 import re
+from functools import partial
 
 import pytest
 
+from gtrans import expr
 from gtrans.errors import EvalError, LimitError, TranslationError
 from gtrans.expr import (
     INT64_MAX,
     INT64_MIN,
+    compile_expr,
     compile_values,
     evaluate,
     split_values,
     wrap64,
 )
-from gtrans.lexer import tokenize
+from gtrans.lexer import Token, TokenKind, tokenize
 
 from helpers import gen_expr
 from oracles import OracleError, oracle_eval
@@ -323,3 +326,129 @@ def test_literal_operand_faults(text, outcome):
     except EvalError as exc:
         got = str(exc)
     assert got == outcome
+
+
+# -- one parse per shape: everything but the shape is the line's own --
+
+
+def _shape(tokens):
+    return [t.text if t.kind >= TokenKind.OPERATOR else t.kind for t in tokens]
+
+
+def _same_shape(first, second):
+    """first and second lexed on other lines and columns; one shape."""
+    a = tokenize(first, "a.s", 1)
+    b = tokenize("    " + second, "b.s", 9)
+    assert _shape(a) == _shape(b)
+    return a, b
+
+
+def _run(tokens, env):
+    try:
+        return evaluate(tokens, env.get)
+    except TranslationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "first,second,got_first,got_second",
+    [
+        # integer values, one above INT64_MAX, inside and as a held literal
+        ("1 + 2", "18446744073709551615 + 9223372036854775809", 3, INT64_MIN),
+        ("x - 3", "x - 18446744073709551615", 2, 6),
+        ("( 7 ) * 2", "( 9223372036854775808 ) * 1", 14, INT64_MIN),
+        # string texts
+        ('"ab" + "c"', '"xyz" + ""', "abc", "xyz"),
+        # dotted names
+        ("P.q + 1", "R.s + 1", 11, 21),
+        # fault texts and positions
+        ("1 x", "1 y", "a.s:1:3: unexpected 'x'", "b.s:9:7: unexpected 'y'"),
+        ("( 1 + 2", "( 3 + 4", "a.s:1:7: missing ')'", "b.s:9:11: missing ')'"),
+        ("q + 1", "r + 1", "a.s:1:1: undefined name 'q'",
+         "b.s:9:5: undefined name 'r'"),
+        ("1 / ( x - 5 )", "1 / ( x - 6 )", "a.s:1:3: division by zero", -1),
+        # the nesting limit's position
+        ("( " * 201 + "1", "( " * 201 + "2",
+         "a.s:1:401: expression nesting exceeds 200 levels",
+         "b.s:9:405: expression nesting exceeds 200 levels"),
+    ],
+)
+def test_one_shape_keeps_each_lines_own_leaves(first, second, got_first, got_second):
+    env = {"x": 5, "P.q": 10, "R.s": 20}
+    a, b = _same_shape(first, second)
+    for _ in range(2):  # in a fixed order, and again once both are kept
+        assert _run(a, env) == got_first
+        assert _run(b, env) == got_second
+
+
+@pytest.mark.parametrize(
+    "first,second,want_first,want_second",
+    [
+        ("a + a", "a + b", [(("a",), ("a",))], [(("a", "b"), ("a", "b"))]),
+        ("x || y", "x || x", [(("x", "y"), ("x",))], [(("x",), ("x",))]),
+        ("P.q && R.s, d", "R.s && R.s, e",
+         [(("P.q", "R.s"), ("P.q",)), (("d",), ("d",))],
+         [(("R.s",), ("R.s",)), (("e",), ("e",))]),
+    ],
+)
+def test_one_shape_keeps_each_lines_own_names(first, second, want_first, want_second):
+    a, b = _same_shape(first, second)
+    for _ in range(2):
+        for tokens, want in ((a, want_first), (b, want_second)):
+            values, fault = split_values(tokens)
+            assert fault is None
+            assert [v[2:] for v in values] == want
+
+
+def test_one_shape_keeps_each_lines_own_value_list():
+    def vals(tokens):
+        values, fault = split_values(tokens)
+        return [None if fn is None else fn({}.get) for fn, *_ in values], fault
+
+    a, b = _same_shape('1, ?, "s" 0x10', '2, ?, "tu" 0xFFFFFFFFFFFFFFFF')
+    for _ in range(2):
+        assert vals(a) == ([1, None, "s", 16], None)
+        assert vals(b) == ([2, None, "tu", -1], None)
+    with pytest.raises(EvalError, match=re.escape("a.s:1:4: unexpected '?'")):
+        compile_values(a)({}.get)
+    with pytest.raises(EvalError, match=re.escape("b.s:9:8: unexpected '?'")):
+        compile_values(b)({}.get)
+    a, b = _same_shape("1 ,", "22 ,")
+    for tokens, where in ((a, "a.s:1:3"), (b, "b.s:9:8")):
+        with pytest.raises(EvalError, match=re.escape(
+                f"{where}: expected a value after ','")):
+            vals(tokens)[1]({}.get)
+
+
+def _holds_a_token(obj, seen) -> bool:
+    """Whether obj reaches a Token through tuples, lists, partials and
+    closure cells."""
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Token):
+        return True
+    if isinstance(obj, (tuple, list)):
+        parts = obj
+    elif isinstance(obj, partial):
+        parts = (obj.func, *obj.args)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        parts = [cell.cell_contents for cell in obj.__closure__]
+    else:
+        return False
+    return any(_holds_a_token(part, seen) for part in parts)
+
+
+def test_shape_table_is_bounded_and_holds_no_token():
+    expr._SHAPES.clear()
+    bound = expr._MAX_SHAPES
+    for k in range(1, bound + 10):  # k terms: a shape of its own
+        assert evaluate(tokenize(" - ".join(["1"] * k))) == 2 - k
+        assert len(expr._SHAPES) <= bound
+    assert len(expr._SHAPES) == 9  # cleared once, at shape bound + 1
+    # a shape parsed before the clear is parsed again, right
+    assert evaluate(tokenize("7 - 3")) == 4
+    for text in ("a + 'A' * ( b || 2 ) - \"s\"", "1 )", "( 1", "a.b, ?, 3 +"):
+        for compile_ in (compile_expr, split_values):
+            compile_(tokenize(text))
+    assert not _holds_a_token(list(expr._SHAPES.items()), set())

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gtrans.errors import EvalError  # noqa: E402
 from gtrans.expr import evaluate  # noqa: E402
-from gtrans.lexer import tokenize  # noqa: E402
+from gtrans.lexer import TokenKind, tokenize  # noqa: E402
 
 from oracles import OracleError, oracle_eval  # noqa: E402
 
@@ -67,3 +67,50 @@ def test_evaluate_matches_oracle(text):
 @given(SOUP)
 def test_evaluate_matches_oracle_on_token_soup(text):
     check(text)
+
+
+_VALUES = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(["", "ab"]))
+_INTEGERS = st.one_of(
+    st.integers(0, 2**64 - 1).map(str),
+    st.integers(0, 2**64 - 1).map(hex),
+    st.sampled_from(["'B'", "'q'", "0", "63", "64"]),
+)
+_STRINGS = st.sampled_from(['""', '"a"', '"zz"', '"xy"'])
+
+
+def _shape(tokens):
+    return [t.text if t.kind >= TokenKind.OPERATOR else t.kind for t in tokens]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(EXPRESSIONS, SOUP), st.data())
+def test_a_shape_parsed_once_takes_each_lines_own_leaves(text, data):
+    """A token list of a shape already parsed is built from its own
+    names, literals and positions: compile an expression, then a re-lexed
+    variant with fresh names, other literals and shifted columns, and
+    both agree with the oracle."""
+    tokens = tokenize(text)
+    fresh = {}  # each name: its fresh name
+    env = {}
+    parts = []
+    for t in tokens:
+        if t.kind is TokenKind.IDENTIFIER:
+            if t.text not in fresh:
+                fresh[t.text] = "v_%d_%s" % (len(fresh), t.text)
+                if t.text in ENV:
+                    env[fresh[t.text]] = data.draw(_VALUES)
+            parts.append(fresh[t.text])
+        elif t.kind is TokenKind.INTEGER:
+            parts.append(data.draw(_INTEGERS))
+        elif t.kind is TokenKind.STRING:
+            parts.append(data.draw(_STRINGS))
+        else:
+            parts.append(t.text)
+    variant = " " * data.draw(st.integers(1, 9)) + " ".join(parts)
+    again = tokenize(variant, "v.s", 7)
+    assert _shape(again) == _shape(tokens)
+    assert outcome(lambda: evaluate(tokens, ENV.get)) == outcome(
+        lambda: oracle_eval(text, ENV)), text
+    assert outcome(lambda: evaluate(again, env.get)) == outcome(
+        lambda: oracle_eval(variant, env)), variant
+
