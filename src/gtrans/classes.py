@@ -1,13 +1,14 @@
 """User-defined pattern classes.
 
 A class is a named rewrite rule: a pattern of parameters and separator
-tokens, and a body of token lines.  Invocations are matched against the
-pattern; parameters capture token runs, and splice fills each body line
-with them.  A substitution step is the same splice under the table of
-substitutions.  Definitions are resolved newest first, so a later
-class with the same name shadows an earlier one wherever both match,
-and chains of operator-like classes get their precedence from
-definition order alone.
+tokens, and a body of token lines.  A pattern element is a parameter's
+name (a str) or a run of adjacent separator texts (a tuple of str).
+Invocations are matched against the pattern; parameters capture token
+runs, and splice fills each body line with them.  A substitution step
+is the same splice under the table of substitutions.  Definitions are
+resolved newest first, so a later class with the same name shadows an
+earlier one wherever both match, and chains of operator-like classes
+get their precedence from definition order alone.
 
 Matching rules, in full:
 
@@ -41,7 +42,9 @@ the kinds of other tokens.  Until the next define under a name, the table
 keeps its winner per shape, with its parameters' spans (index ranges) and
 the body's layout (see _layout).  A name with a variadic definition is
 resolved afresh each time, its layout leaving every line to the binding:
-its shape would read the tail.
+its shape would read the tail.  The separator check stays beside that
+table, which keeps only winners: a shape that matches nothing, and any
+shape the first time it is seen, is tried against the candidates.
 """
 
 from __future__ import annotations
@@ -57,19 +60,7 @@ _OPEN = ("(", "[", "{")
 _CLOSE = (")", "]", "}")
 # kinds of line that may open a brace block
 BRACED = (LineKind.CLASS_DEFINITION, LineKind.CLASS_BODY_DELIMITER)
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
-
-
-@dataclass(frozen=True)
-class Sep:
-    texts: tuple[str, ...]
-
-
-Element = Union[Param, Sep]
+Element = Union[str, tuple[str, ...]]  # a parameter or a separator run
 Binding = dict[str, Sequence[Token]]
 Spans = list[tuple[str, slice]]  # each parameter's range in the arguments
 
@@ -101,7 +92,7 @@ def parse_pattern(tokens: Sequence[Token]):
 
     def flush():
         if sep_run:
-            fixed.append(Sep(tuple(sep_run)))
+            fixed.append(tuple(sep_run))
             sep_run.clear()
 
     for tok in tokens:
@@ -121,7 +112,7 @@ def parse_pattern(tokens: Sequence[Token]):
                 variadic = tok.text
             else:
                 flush()
-                fixed.append(Param(tok.text))
+                fixed.append(tok.text)
         elif tok.is_op(".."):
             flush()
             marker = tok
@@ -186,16 +177,16 @@ def _match_full(elements, args) -> Optional[Spans]:
     last = len(elements) - 1
     for k in range(last, -1, -1):
         e = elements[k]
-        if isinstance(e, Param):
-            run.insert(0, e.name)
+        if type(e) is str:
+            run.insert(0, e)
             continue
-        starts = range(hi - len(e.texts), -1, -1)  # rightmost first
+        starts = range(hi - len(e), -1, -1)  # rightmost first
         if k == last:
             starts = starts[:1]  # anchored at the end
         elif k == 0:
             starts = starts[-1:]  # anchored at the start
-        s = next((s for s in starts if _run_at(args, depths, s, e.texts)), None)
-        if s is None or not _bind_run(spans, run, s + len(e.texts), hi):
+        s = next((s for s in starts if _run_at(args, depths, s, e)), None)
+        if s is None or not _bind_run(spans, run, s + len(e), hi):
             return None
         run, hi = [], s
     return spans if _bind_run(spans, run, 0, hi) else None
@@ -218,16 +209,16 @@ def _match_variadic(fixed, tail: str, args) -> Optional[Spans]:
     run: list[str] = []  # parameters after the last separator
     lo = 0
     for e in fixed:
-        if isinstance(e, Param):
-            run.append(e.name)
+        if type(e) is str:
+            run.append(e)
             continue
-        starts = range(lo + len(run), len(args) - len(e.texts) + 1)
+        starts = range(lo + len(run), len(args) - len(e) + 1)
         if not run:
             starts = starts[:1]  # anchored where the last one ended
-        s = next((s for s in starts if top_run_at(s, e.texts)), None)
+        s = next((s for s in starts if top_run_at(s, e)), None)
         if s is None or not _bind_run(spans, run, lo, s):
             return None
-        run, lo = [], s + len(e.texts)
+        run, lo = [], s + len(e)
     # trailing parameters take one token each, the tail all after them
     end = lo + len(run)
     if not _bind_run(spans, run, lo, min(end, len(args))):
@@ -247,11 +238,14 @@ def match(cls: ClassDef, args: Sequence[Token]) -> Optional[Binding]:
     return None if spans is None else {p: args[s] for p, s in spans}
 
 
-def splice(tokens: Sequence[Token], runs: Binding) -> list[Token]:
+def splice(tokens: Sequence[Token], runs: Binding) -> Sequence[Token]:
     """tokens with each identifier that runs names replaced by its run: a
-    body line under its binding, or any line under the substitutions.  A
-    run goes in as it is and is not looked at again, so substitutions
-    that name each other advance one step per call instead of looping."""
+    body line under its binding, or any line under the substitutions;
+    tokens itself if runs is empty.  A run goes in as it is and is not
+    looked at again, so substitutions that name each other advance one
+    step per call instead of looping."""
+    if not runs:
+        return tokens
     out: list[Token] = []
     for t in tokens:
         if t.kind is TokenKind.IDENTIFIER and t.text in runs:
@@ -305,7 +299,7 @@ class ClassTable:
             aliases=tuple(aliases),
             seq=len(self.defs),
             pos=pos,
-            seps=frozenset(t for e in fixed if isinstance(e, Sep) for t in e.texts),
+            seps=frozenset(t for e in fixed if type(e) is not str for t in e),
         )
         self.defs.append(cls)
         self._open.append((tuple((t, None, None) for t in cls.body), True))
@@ -357,12 +351,6 @@ class ClassTable:
     def set_substitution(self, name: str, replacement: Sequence[Token]) -> None:
         self.substitutions[name] = tuple(replacement)
         self.version += 1
-
-    def substitute(self, tokens: list[Token]) -> list[Token]:
-        """One substitution step: tokens itself if none is defined."""
-        if not self.substitutions:
-            return tokens
-        return splice(tokens, self.substitutions)
 
 
 def _matching_paren(tokens, open_idx: int) -> Optional[int]:
@@ -424,8 +412,6 @@ def expand_calls(tokens: Sequence[Token], table: ClassTable, budget: int) -> lis
 __all__ = [
     "BRACED",
     "ClassTable",
-    "Param",
-    "Sep",
     "expand_calls",
     "match",
     "parse_pattern",

@@ -136,7 +136,7 @@ class _SourceHandler:
             start = dotted_name_end(tokens) + 1
         part = list(tokens[start:])
         expanded = expand_calls(part, self.table, self.limits.max_depth)
-        final = self.table.substitute(expanded)
+        final = splice(expanded, self.table.substitutions)
         if final != part:
             line = make_line([*tokens[:start], *final], line.pos)
             kind, tokens = line.kind, line.tokens

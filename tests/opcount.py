@@ -2,7 +2,8 @@
 
     python tests/opcount.py [WORKLOAD ...] [--seed S] [--functions N]
 
-Translates each named workload of pipebench/workloads.py (all three by
+Prints the number of lines of Python in src/gtrans first.  Then it
+translates each named workload of pipebench/workloads.py (all three by
 default, seed 1) once through cli.translate() under sys.settrace with
 f_trace_opcodes, and prints the opcode events of each stage: lex
 (tokenize_lines), source (run_source_phase), guards
@@ -121,6 +122,9 @@ def main(argv) -> int:
         run_dest_phase: "dest",
         format_output: "format",
     }
+    sources = list((REPO / "src" / "gtrans").glob("*.py"))
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources)
+    print(f"src/gtrans: {lines:,} lines of Python in {len(sources)} files")
     status = 0
     for name in args.workloads:
         work = workloads.generate(name, args.seed)

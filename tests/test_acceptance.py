@@ -125,7 +125,7 @@ def test_c06_split_precedence_by_order(tmp_path):
         t = tokenize(header)
         table.define(t[0].text, t[1:], [], (), t[0].pos)
     cls, binding, _ = table.resolve("E", tokenize("a * b + c"))
-    assert cls.fixed[1].texts == ("+",)
+    assert cls.fixed[1] == ("+",)
     assert [t.text for t in binding["x"]] == ["a", "*", "b"]
     assert [t.text for t in binding["y"]] == ["c"]
 
@@ -168,7 +168,7 @@ def test_c06_split_precedence_by_order(tmp_path):
             if hits:
                 assert [t.text for t in binding["x"]] == texts[: hits[-1]]
                 assert [t.text for t in binding["y"]] == texts[hits[-1] + 1 :]
-                assert cls.fixed[1].texts == (op,)
+                assert cls.fixed[1] == (op,)
                 splits += 1
                 break
         else:

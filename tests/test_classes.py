@@ -6,8 +6,6 @@ import pytest
 
 from gtrans.classes import (
     ClassTable,
-    Param,
-    Sep,
     expand_calls,
     match,
     parse_pattern,
@@ -50,23 +48,23 @@ def bind_texts(binding):
 
 def test_parse_simple_pattern():
     fixed, variadic = parse_pattern(toks("x + y"))
-    assert fixed == (Param("x"), Sep(("+",)), Param("y"))
+    assert fixed == ("x", ("+",), "y")
     assert variadic is None
 
 
 def test_parse_merges_separator_runs():
     fixed, _ = parse_pattern(toks("x , := y"))
-    assert fixed == (Param("x"), Sep((",", ":=")), Param("y"))
+    assert fixed == ("x", (",", ":="), "y")
 
 
 def test_parse_adjacent_params():
     fixed, _ = parse_pattern(toks("a b"))
-    assert fixed == (Param("a"), Param("b"))
+    assert fixed == ("a", "b")
 
 
 def test_parse_variadic():
     fixed, variadic = parse_pattern(toks("x , .. rest"))
-    assert fixed == (Param("x"), Sep((",",)))
+    assert fixed == ("x", (",",))
     assert variadic == "rest"
 
 
@@ -316,22 +314,27 @@ def test_expand_calls_budget():
 def test_substitute_one_step():
     table = ClassTable()
     table.set_substitution("N", toks("26"))
-    assert render(table.substitute(toks("db N"))) == "db 26"
-    assert render(table.substitute(toks("db M"))) == "db M"
+    assert render(splice(toks("db N"), table.substitutions)) == "db 26"
+    assert render(splice(toks("db M"), table.substitutions)) == "db M"
 
 
 def test_substitute_mutual_is_one_step():
     table = ClassTable()
     table.set_substitution("A", toks("B"))
     table.set_substitution("B", toks("A"))
-    assert render(table.substitute(toks("A"))) == "B"
-    assert render(table.substitute(toks("B"))) == "A"
+    assert render(splice(toks("A"), table.substitutions)) == "B"
+    assert render(splice(toks("B"), table.substitutions)) == "A"
+
+
+def test_splice_without_runs_is_its_tokens():
+    line = toks("db N")
+    assert splice(line, {}) is line
 
 
 def test_substitute_skips_strings():
     table = ClassTable()
     table.set_substitution("N", toks("26"))
-    assert render(table.substitute(toks('db "N"'))) == 'db "N"'
+    assert render(splice(toks('db "N"'), table.substitutions)) == 'db "N"'
 
 
 # -- randomized cross-check against the enumeration oracle ----------------
@@ -525,7 +528,7 @@ def _resolve_by_trying_all(table, name, args):
 
 
 def _sep_texts(cls):
-    return {t for e in cls.fixed if isinstance(e, Sep) for t in e.texts}
+    return {t for e in cls.fixed if type(e) is tuple for t in e}
 
 
 def _same_shape(args):

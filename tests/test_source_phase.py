@@ -934,9 +934,23 @@ def test_limits_hold_inside_a_kept_recursive_expansion():
 # -- resolution kept per argument shape --------------------------------------
 
 
-def test_matching_runs_once_per_argument_shape(monkeypatch):
+def _full_matches(monkeypatch):
+    """A list that records the arguments of every classes._match_full
+    run from here on."""
     import gtrans.classes
 
+    calls = []
+    match_full = gtrans.classes._match_full
+
+    def counting(*args):
+        calls.append(args)
+        return match_full(*args)
+
+    monkeypatch.setattr(gtrans.classes, "_match_full", counting)
+    return calls
+
+
+def test_matching_runs_once_per_argument_shape(monkeypatch):
     operands = ["{k}", "( {k} + 1 )", "L_{k}", "[ r1 ] + {k}"]
     invocations = [
         f"mov r{k % 8} , " + operands[k % 4].replace("{k}", str(k))
@@ -947,14 +961,7 @@ def test_matching_runs_once_per_argument_shape(monkeypatch):
               else t.kind for t in line.tokens[1:])
         for line in tokenize_lines("\n".join(invocations))
     }
-    calls = []
-    match_full = gtrans.classes._match_full
-
-    def counting(*args):
-        calls.append(args)
-        return match_full(*args)
-
-    monkeypatch.setattr(gtrans.classes, "_match_full", counting)
+    calls = _full_matches(monkeypatch)
     src = "class mov r , v\n{\ndb 0xB8 + r\ndd v\n}\n" + "\n".join(invocations)
     stream, _, _, _ = run(src)
     assert len(stream) == 2000
@@ -965,16 +972,7 @@ def test_matching_runs_once_per_argument_shape(monkeypatch):
 
 
 def test_a_definition_keeps_what_other_names_resolved(monkeypatch):
-    import gtrans.classes
-
-    calls = []
-    match_full = gtrans.classes._match_full
-
-    def counting(*args):
-        calls.append(args)
-        return match_full(*args)
-
-    monkeypatch.setattr(gtrans.classes, "_match_full", counting)
+    calls = _full_matches(monkeypatch)
     counts = []
     for n in (10, 200):
         run(
@@ -985,6 +983,45 @@ def test_a_definition_keeps_what_other_names_resolved(monkeypatch):
         counts.append(len(calls))
         calls.clear()
     assert counts == [2, 2]
+
+
+# The per-shape table keeps only winners, so failing shapes and shapes
+# seen for the first time reach the candidates; a candidate with a
+# separator absent from the arguments must be skipped without matching.
+
+_OVERLOADS = "+ - * / % << >> & | ^ == != < > <= >=".split()
+
+
+def test_nested_failing_calls_skip_the_matcher(monkeypatch):
+    calls = _full_matches(monkeypatch)
+    line = "db " + "g ( " * 40 + "1" + " )" * 40
+    stream, _, _, _ = run("class g x , y { x }\n" + line)
+    assert render(stream) == line
+    assert calls == []
+
+
+def test_unmatchable_shapes_skip_the_matcher(monkeypatch):
+    calls = _full_matches(monkeypatch)
+    defs = "".join(f"class h x {op} y {{ db x }}\n" for op in _OVERLOADS)
+    # 64 distinct shapes, none holding an overload's separator
+    lines = [
+        "h " + " ".join("a" if k >> j & 1 else "1" for j in range(6))
+        for k in range(64)
+    ]
+    stream, _, _, _ = run(defs + "\n".join(lines))
+    assert len(_OVERLOADS) == 16 and render(stream) == "\n".join(lines)
+    assert calls == []
+
+
+def test_a_nested_separator_still_reaches_the_matcher(monkeypatch):
+    calls = _full_matches(monkeypatch)
+    defs = "".join(f"class h x {op} y {{ db x }}\n" for op in _OVERLOADS)
+    stream, _, _, _ = run(defs + "h ( a + b )\nh a + b")
+    assert render(stream) == "h ( a + b )\ndb a"
+    # the first line fails as a command and then as an embedded call
+    assert [" ".join(t.text for t in args) for _, args in calls] == [
+        "( a + b )", "( a + b )", "a + b"
+    ]
 
 
 def test_a_newer_same_shape_overload_takes_over_mid_loop():
