@@ -3,11 +3,13 @@
 The intermediate stream is executed once.  The engine hands every line
 that is not one of its directives to compile, its one hook, which turns
 it into a closure that runs it; an '@' key the engine does not know is
-an error there.  Expressions look names up in one table: an assignment
-writes it and a label only adds a name it lacks, so a symbol shadows a
-label in either order.  Conditions, assignment right sides and reserve
-counts never look forward, so each label's offset and each line's size
-are known when the line runs.
+an error there.  A data or reserve line's closure defines its label,
+writes its units, and records its run only if it wrote a byte.
+Expressions look names up in one table: an assignment writes it and a
+label only adds a name it lacks, so a symbol shadows a label in either
+order.  Conditions, assignment right sides and reserve counts never
+look forward, so each label's offset and each line's size are known
+when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
 evaluation fails, or would (it reads an undefined name outside the
@@ -203,10 +205,14 @@ class _DestHandler:
         if kind is LineKind.LABEL:
             name = dotted_name(line.tokens[:-1])
             return lambda: self._define_label(name, line.pos)
-        if kind is LineKind.DATA_EMISSION:
-            return self._data_line(line, line.tokens)
-        if kind is LineKind.PLAIN:
-            return self._labeled_data(line)
+        if kind is LineKind.DATA_EMISSION or kind is LineKind.PLAIN:
+            tokens, k = line.tokens, 0  # k: the data keyword, after the label
+            if kind is LineKind.PLAIN:
+                k = labeled_data_keyword(tokens)
+                if k is None:
+                    raise TranslationError("unrecognized statement", line.pos)
+            build = self._reserve if tokens[k].text[0] == "r" else self._values
+            return build(line, k, dotted_name(tokens[:k]) if k else None)
         if kind is LineKind.DEST_DIRECTIVE:
             t0 = line.tokens[0]
             raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
@@ -232,32 +238,10 @@ class _DestHandler:
         offset = self.labels[name] = len(self.image.data)
         self.seen.setdefault(name, offset)
 
-    def _labeled_data(self, line: Line):
-        tokens = line.tokens
-        k = labeled_data_keyword(tokens)
-        if k is None:
-            raise TranslationError("unrecognized statement", line.pos)
-        return self._data_line(line, tokens[k:], dotted_name(tokens[:k]))
-
-    def _data_line(self, line: Line, tokens, label: Optional[str] = None):
-        keyword = tokens[0].text
+    def _values(self, line: Line, k: int, label: Optional[str]):
+        tokens, pos = line.tokens, line.pos
+        keyword, args = tokens[k].text, tokens[k + 1 :]
         size = _SIZES[keyword[1]]
-        build = self._reserve if keyword[0] == "r" else self._values
-        body, image = build(tokens[1:], keyword, size, line.pos), self.image
-        data, lines, starts = image.data, image.lines, image.starts
-
-        def emit():
-            if label is not None:
-                self._define_label(label, line.pos)
-            start = len(data)
-            body()
-            if len(data) > start:
-                lines.append(line)
-                starts.append(start)
-
-        return emit
-
-    def _values(self, args, keyword: str, size: int, pos: Position):
         values, fault = split_values(args)
         if not args:
             fault = failing(
@@ -266,14 +250,18 @@ class _DestHandler:
         # fixup entry of each value: (closure, unit size, pos, reads)
         entries = [(fn, size, pos, reads) for fn, _, _, reads in values]
         names = tuple(dict.fromkeys(n for _, _, ns, _ in values for n in ns))
+        image = self.image
+        data, lines, starts = image.data, image.lines, image.starts
 
         def emit():
+            if label is not None:
+                self._define_label(label, pos)
             if fault is not None:
                 fault(self.lookup)
             # every value is evaluated before any is written
             got = [0 if fn is None else self._now(fn, reads)
                    for fn, _, _, reads in entries]
-            waiting = []
+            start, waiting = len(data), []
             for entry, value in zip(entries, got):
                 if value is None:
                     waiting += entry, len(self.image.data), size
@@ -284,12 +272,17 @@ class _DestHandler:
                     self.image.data += self._unit_bytes(value, size, pos)
             if waiting:
                 self._defer(names, waiting)
+            if len(data) > start:
+                lines.append(line)
+                starts.append(start)
 
         return emit
 
-    def _reserve(self, args, keyword: str, size: int, pos: Position):
+    def _reserve(self, line: Line, k: int, label: Optional[str]):
         """count [,] [value].  The count never looks forward; the value
         may, like any data value."""
+        args, pos = line.tokens[k + 1 :], line.pos
+        size = _SIZES[line.tokens[k].text[1]]
         # late: a fault that reading in order meets after the count
         values, late = split_values(args)
         if not values:
@@ -306,8 +299,11 @@ class _DestHandler:
         if len(values) == 2 and values[1][0] is not None:
             fn, _, names, reads = values[1]
             fill = (fn, size, pos, reads)
+        lines, starts = self.image.lines, self.image.starts
 
         def reserve():
+            if label is not None:
+                self._define_label(label, pos)
             n = count(self.lookup)
             if not isinstance(n, int):
                 raise EmitError("reserve count must be an integer", pos)
@@ -327,6 +323,9 @@ class _DestHandler:
                 raise EmitError("reserve value must be an integer", pos)
             else:
                 self.image.data += self._unit_bytes(value, size, pos) * n
+            if n:
+                lines.append(line)
+                starts.append(len(self.image.data) - size * n)
 
         return reserve
 

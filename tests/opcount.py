@@ -18,6 +18,10 @@ collection, counts the cyclic garbage collector's collections per
 generation and the time spent in them.  The counts repeat from run to
 run, since they follow the translation's allocations; the time does not.
 
+Each workload starts cold: its traced translation begins with an empty
+expression shape cache (expr._SHAPES), so its counts do not depend on
+which workloads ran before it in the same process.
+
 Unlike a time, the counts repeat exactly: two runs, or runs under
 different PYTHONHASHSEED values, print the same numbers.  They explain
 a time and do not replace one: a C-level copy or a dict operation is one
@@ -100,6 +104,7 @@ def _where(code) -> str:
 def main(argv) -> int:
     sys.path[:0] = [str(REPO / "src"), str(REPO / "pipebench")]
     import workloads
+    from gtrans import expr
     from gtrans.cli import TranslatorConfig, format_output, translate
     from gtrans.dest_phase import resolve_guarded_regions, run_dest_phase
     from gtrans.lexer import tokenize_lines
@@ -136,6 +141,7 @@ def main(argv) -> int:
             config = TranslatorConfig(rule_files=[str(rules)],
                                       source=str(source), output=str(output),
                                       format=work.format)
+            expr._SHAPES.clear()  # start cold, whatever ran before
             events, report = count(translate, config, entry_points)
             problem = (f"status {report.status}: {report.diagnostics[:3]}"
                        if report.status != "ok"

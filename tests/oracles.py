@@ -242,18 +242,30 @@ def oracle_eval(text, env=None):
 _UNIT_SIZES = {"db": 1, "dw": 2, "dd": 4, "rb": 1}
 
 
+def _unlabeled(line):
+    """(label, line without it) of 'name db ...'; (None, line) otherwise."""
+    head, _, rest = line.partition(" ")
+    if rest.partition(" ")[0] in _UNIT_SIZES:
+        return head, rest
+    return None, line
+
+
 def oracle_layout(lines):
     """Bytes and label offsets of a straight-line program.
 
     Lines are 'name :', 'db|dw|dd e, ...', 'rb n, e' with a literal n,
-    and 'v = e'.  A first walk only counts units, which fixes every label;
-    a second walk evaluates each value against the variables assigned so
-    far and the complete label table, like a classic two-pass assembler.
-    Raises OracleError on any fault.
+    either of those two after a label name, and 'v = e'.  A label takes
+    the offset of its line's first unit.  A first walk only counts units,
+    which fixes every label; a second walk evaluates each value against
+    the variables assigned so far and the complete label table, like a
+    classic two-pass assembler.  Raises OracleError on any fault.
     """
     labels = {}
     offset = 0
     for line in lines:
+        label, line = _unlabeled(line)
+        if label is not None:
+            labels[label] = offset
         head, _, rest = line.partition(" ")
         if rest == ":":
             labels[head] = offset
@@ -264,7 +276,7 @@ def oracle_layout(lines):
     env = dict(labels)
     out = bytearray()
     for line in lines:
-        head, _, rest = line.partition(" ")
+        head, _, rest = _unlabeled(line)[1].partition(" ")
         if rest.startswith("= "):
             env[head] = oracle_eval(rest[2:], env)
         elif head in _UNIT_SIZES:

@@ -235,6 +235,12 @@ def test_random_layouts_match_oracle():
                 rng.choice(names + [str(rng.randrange(1, 9))]),
             )
 
+        def labeled(data):
+            """data, after a pending label name on some lines."""
+            if pending and rng.random() < 0.3:
+                return "%s %s" % (pending.pop(0), data)
+            return data
+
         lines = []
         for _ in range(rng.randrange(1, 16)):
             roll = rng.random()
@@ -243,11 +249,13 @@ def test_random_layouts_match_oracle():
             elif roll < 0.55:
                 keyword = rng.choice(["db", "dw", "dd"])
                 count = rng.randrange(1, 4)
-                lines.append(
+                lines.append(labeled(
                     "%s %s" % (keyword, ", ".join(value() for _ in range(count)))
-                )
+                ))
             elif roll < 0.75:
-                lines.append("rb %d, %s" % (rng.randrange(0, 4), value()))
+                lines.append(
+                    labeled("rb %d, %s" % (rng.randrange(0, 4), value()))
+                )
             elif variables and rng.random() < 0.6:
                 v = rng.choice(variables)
                 lines.append("%s = %s + %d" % (v, v, rng.randrange(-5, 300)))
@@ -724,6 +732,15 @@ def test_spans_cover_emitting_lines():
         "  00000006  here\n"
         "  0000000a  later\n"
     )
+    # a labeled line defines its label before its units run, and records
+    # a run only if it wrote a byte
+    img = emit('x db ""\n')
+    assert img.labels == {"x": 0} and img.data == b"" and img.spans == []
+    img = emit("top rb top + 2\ndb 7\n")
+    assert img.labels == {"top": 0} and img.data.hex() == "000007"
+    assert [(s.start, s.end) for s in img.spans] == [(0, 2), (2, 3)]
+    img = emit("x rw 0, x\n")
+    assert img.labels == {"x": 0} and img.data == b"" and img.spans == []
 
 
 def _loop_peak(iterations):
