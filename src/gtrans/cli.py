@@ -6,11 +6,20 @@ class definitions.  The unit runs through both phases and the image is
 written in one of three formats.  Exit codes: 0 for a clean run, 1 for
 any problem in the input or the invocation, 2 for any other exception
 (that one is a bug here, not in the user's program).
+
+translate() pauses the cyclic garbage collector for the whole call and
+then puts back the state it found.  A translation holds every Token and
+Line of its input at once but builds no reference cycle, which
+tests/test_cli.py checks, so each collection the allocations would
+trigger rescans all of them and frees nothing.  The pause is
+process-wide: while another thread's translate() runs, this thread's
+allocations trigger no collection either.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from dataclasses import dataclass, field
@@ -136,9 +145,17 @@ def _write(path: str, payload: bytes) -> None:
 
 
 def translate(config: TranslatorConfig) -> RunReport:
-    """Run the whole pipeline; never writes output on failure."""
+    """Run the whole pipeline; never writes output on failure.
+
+    Automatic garbage collection is off for the call, since the pipeline
+    makes no cycles to collect (tests/test_cli.py checks this); a caller
+    who had it on gets it back on, however the call ends, and one who had
+    it off keeps it off.  Another thread's allocations trigger no
+    collection during the call."""
     report = RunReport("ok")
     diags = report.diagnostics
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         lines = []
         for path in [*config.rule_files, config.source]:
@@ -164,6 +181,9 @@ def translate(config: TranslatorConfig) -> RunReport:
         report.status = "internal-error"
     else:
         report.byte_count = len(image.data)
+    finally:
+        if collecting:
+            gc.enable()
     return report
 
 

@@ -60,7 +60,7 @@ from .errors import (
     TranslationError,
     UserAbort,
 )
-from .expr import Value, compile_expr, failing, split_values
+from .expr import Value, compile_expr, computed, failing, split_values
 from .lexer import Line, LineKind, TokenKind, dotted_name, dotted_name_end
 from .lexer import labeled_data_keyword
 
@@ -289,9 +289,7 @@ class _DestHandler:
             count = failing(EmitError, "reserve needs a count", pos)
         else:
             count, end, *_ = values[0]
-            if count is None:
-                qpos = args[end - 1].pos
-                count = failing(EvalError, "unexpected '?'", qpos)
+            count = computed(count, args, end)
         if len(values) > 2:
             message = "reserve takes a count and at most one value"
             late = failing(EmitError, message, pos)

@@ -439,13 +439,17 @@ def split_values(tokens) -> tuple[list, Optional[Expr]]:
     return values, fault and fault(tokens)
 
 
+def computed(fn, tokens, end) -> Callable[[Lookup], Value]:
+    """The closure of a value that split_values(tokens) ended at end, in
+    a place where a value must be computed: for a bare '?' (fn None), one
+    that raises 'unexpected' at the '?'."""
+    return fn or failing(EvalError, "unexpected '?'", tokens[end - 1].pos)
+
+
 def compile_values(tokens) -> Callable[[Lookup], list[Value]]:
     """Compile a value list whose values are evaluated in order, each as
     if before the next is read; a bare '?' is an unexpected token here."""
-    fns = [
-        fn or failing(EvalError, "unexpected '?'", tokens[end - 1].pos)
-        for fn, end, *_ in split_values(tokens)[0]
-    ]
+    fns = [computed(fn, tokens, end) for fn, end, *_ in split_values(tokens)[0]]
     return lambda lookup: [fn(lookup) for fn in fns]
 
 
@@ -456,6 +460,7 @@ __all__ = [
     "Value",
     "compile_expr",
     "compile_values",
+    "computed",
     "evaluate",
     "failing",
     "split_values",

@@ -10,8 +10,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import gen_programs
 
 import gtrans
+from gtrans import cli
 from gtrans.cli import (
     RunReport,
     TranslatorConfig,
@@ -150,8 +152,6 @@ def test_seeded_programs_end_ok_or_user_error(tmp_path):
     # directive programs, class overloads, nested loops with breaks and a
     # brace-heavy line pool with long literals; whatever the text, nothing
     # escapes translate() and no run is an internal error
-    from helpers import gen_programs
-
     src, out = tmp_path / "prog.src", tmp_path / "prog.out"
     statuses = Counter()
     for text in gen_programs(11, 500):
@@ -373,19 +373,25 @@ _GARBAGE_OK = (
 @pytest.mark.parametrize(
     "source, limits, status",
     [
-        (_GARBAGE_OK, Limits(), "ok"),
-        ("db 1 / 0\n", Limits(), "user-error"),
-        ("dd later + 1 / 0\nlater :\n", Limits(), "user-error"),
-        ("i = 0\n#while 1\nput i\n#error stop at i\n#endw\n", Limits(),
-         "user-error"),
-        ("push 1 , 2 , 3 , 4 , 5\n", Limits(max_depth=2), "user-error"),
+        pytest.param(_GARBAGE_OK, Limits(), "ok", id="ok"),
+        pytest.param("db 1 / 0\n", Limits(), "user-error", id="eval-error"),
+        pytest.param("dd later + 1 / 0\nlater :\n", Limits(), "user-error",
+                     id="fixup-error"),
+        pytest.param("i = 0\n#while 1\nput i\n#error stop at i\n#endw\n",
+                     Limits(), "user-error", id="abort"),
+        pytest.param("push 1 , 2 , 3 , 4 , 5\n", Limits(max_depth=2),
+                     "user-error", id="depth-limit"),
+        # the first 60 seeded programs: ten of each of the six generators,
+        # 20 ending ok and 40 with a user error; None means either status
+        *(pytest.param(text, Limits(), None, id=f"seed1-{n}")
+          for n, text in enumerate(gen_programs(1, 60))),
     ],
-    ids=["ok", "eval-error", "fixup-error", "abort", "depth-limit"],
 )
 def test_translate_leaves_no_cyclic_garbage(tmp_path, source, limits, status):
     # whatever a translation keeps (expansions pushed again, compiled
     # lines) or raises is freed by reference counting alone, so no
-    # collector pass is owed for it after translate() returns
+    # collector pass is owed for it after translate() returns; this is
+    # what makes pausing the collector inside translate() safe
     gc.collect()
     gc.disable()
     try:
@@ -395,7 +401,59 @@ def test_translate_leaves_no_cyclic_garbage(tmp_path, source, limits, status):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert report.status == status, report.diagnostics
+    if status is None:
+        assert report.status in ("ok", "user-error"), report.diagnostics
+    else:
+        assert report.status == status, report.diagnostics
+
+
+def _in_translate() -> bool:
+    """Whether the caller runs inside a translate() call."""
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not translate.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", ["ok", "user-error", "internal-error"])
+def test_translate_pauses_the_collector(tmp_path, monkeypatch, outcome,
+                                        enabled):
+    # counts, not times: no automatic collection starts inside the call,
+    # though 3,000 data lines, each kept for the whole run, take the
+    # allocation count far past the collector's first threshold; and the
+    # caller's collector state is back however the run ends
+    source = "".join(f"x{k} : dw {k}, x{k}\n" for k in range(3000))
+    if outcome == "user-error":
+        source += "db 1 / 0\n"
+    run_dest_phase = cli.run_dest_phase
+    counts = []
+
+    def dest_phase(*args, **kwargs):
+        counts.append(gc.get_count()[0])
+        if outcome == "internal-error":
+            raise RuntimeError("broken")
+        return run_dest_phase(*args, **kwargs)
+
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start" and _in_translate():
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(cli, "run_dest_phase", dest_phase)
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(on_gc)
+    try:
+        report, _ = run_files(tmp_path, source)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.enable()
+    assert report.status == outcome, report.diagnostics
+    assert counts[0] > 10 * gc.get_threshold()[0]
+    assert starts == []
 
 
 def test_print_before_a_run_error_is_kept(tmp_path):
