@@ -3,18 +3,19 @@
 The intermediate stream is executed once.  The engine hands every line
 that is not one of its directives to compile, its one hook, which turns
 it into a closure that runs it; an '@' key the engine does not know is
-an error there.  A data or reserve line's closure defines its label,
-writes its units, and records its run only if it wrote a byte.
-Expressions look names up in one table: an assignment writes it and a
-label only adds a name it lacks, so a symbol shadows a label in either
-order.  Conditions, assignment right sides and reserve counts never
-look forward, so each label's offset and each line's size are known
-when the line runs.
+an error there.  One builder compiles data and reserve lines: a reserve
+is a data line whose first value is a count and whose one fill is
+written count times.  Expressions look names up in one table: an
+assignment writes it and a label only adds a name it lacks, so a symbol
+shadows a label in either order.  Conditions, assignment right sides and
+reserve counts never look forward, so each label's offset and each
+line's size are known when the line runs.
 
 Data values and reserve fills may name a later label.  A value whose
 evaluation fails, or would (it reads an undefined name outside the
 right side of every '&&' and '||'), is written as zero units, and each
-run of a line that defers values leaves one fixup record.  A record is
+run of a line that defers values leaves one fixup record, even a
+zero-count reserve's, whose record is what checks its fill.  A record is
 one flat tuple, since a long loop keeps one per pass until the end:
 
     (log length, names, value of each name then,
@@ -211,8 +212,7 @@ class _DestHandler:
                 k = labeled_data_keyword(tokens)
                 if k is None:
                     raise TranslationError("unrecognized statement", line.pos)
-            build = self._reserve if tokens[k].text[0] == "r" else self._values
-            return build(line, k, dotted_name(tokens[:k]) if k else None)
+            return self._units(line, k, dotted_name(tokens[:k]) if k else None)
         if kind is LineKind.DEST_DIRECTIVE:
             t0 = line.tokens[0]
             raise StructureError(f"unknown directive '{t0.text}'", t0.pos)
@@ -238,12 +238,31 @@ class _DestHandler:
         offset = self.labels[name] = len(self.image.data)
         self.seen.setdefault(name, offset)
 
-    def _values(self, line: Line, k: int, label: Optional[str]):
+    def _units(self, line: Line, k: int, label: Optional[str]):
+        """The closure of a data or reserve line.  A reserve, 'count [,]
+        [fill]', is a data line whose first value is a count and whose one
+        fill, a zero when there is none, is written count times.  In order,
+        the closure defines the label; for a reserve, evaluates the count,
+        which never looks forward, and checks that it is an integer, not
+        negative and at most max_loop; raises the parse or arity fault;
+        evaluates every value before writing any; writes each value now, or
+        writes zeros and defers it; records its run if it wrote a byte."""
         tokens, pos = line.tokens, line.pos
         keyword, args = tokens[k].text, tokens[k + 1 :]
         size = _SIZES[keyword[1]]
         values, fault = split_values(args)
-        if not args:
+        count = None
+        if keyword[0] == "r":
+            if not values:
+                count = failing(EmitError, "reserve needs a count", pos)
+            else:
+                fn, end, *_ = values.pop(0)
+                count = computed(fn, args, end)
+            if len(values) > 1:
+                message = "reserve takes a count and at most one value"
+                fault = failing(EmitError, message, pos)
+            values = values[:1] or [(None, None, (), ())]  # no fill: a zero
+        elif not args:
             fault = failing(
                 EmitError, f"'{keyword}' needs at least one value", pos
             )
@@ -254,8 +273,20 @@ class _DestHandler:
         data, lines, starts = image.data, image.lines, image.starts
 
         def emit():
+            nonlocal data  # += on a bytearray grows image.data in place
             if label is not None:
                 self._define_label(label, pos)
+            n = 1  # times each value is written
+            if count is not None:
+                n = count(self.lookup)
+                if not isinstance(n, int):
+                    raise EmitError("reserve count must be an integer", pos)
+                if n < 0:
+                    raise EmitError("negative reserve count", pos)
+                if n > self.limits.max_loop:
+                    raise LimitError(
+                        f"reserve count exceeds {self.limits.max_loop}", pos
+                    )
             if fault is not None:
                 fault(self.lookup)
             # every value is evaluated before any is written
@@ -264,68 +295,29 @@ class _DestHandler:
             start, waiting = len(data), []
             for entry, value in zip(entries, got):
                 if value is None:
-                    waiting += entry, len(self.image.data), size
-                    self.image.data += bytes(size)
-                elif isinstance(value, str):
-                    self._emit_string(value, keyword, pos)
+                    waiting += entry, len(data), size * n
+                    data += bytes(size * n)
+                elif isinstance(value, int):
+                    data += self._unit_bytes(value, size, pos) * n
+                elif count is not None:
+                    raise EmitError("reserve value must be an integer", pos)
+                elif keyword != "db":
+                    message = "strings can only be emitted with 'db'"
+                    raise EmitError(message, pos)
                 else:
-                    self.image.data += self._unit_bytes(value, size, pos)
+                    try:
+                        data += value.encode("latin-1")
+                    except UnicodeEncodeError:
+                        message = "string has characters above 0xFF"
+                        raise EmitError(message, pos) from None
             if waiting:
-                self._defer(names, waiting)
+                self.fixups.append((len(self.diagnostics), names,
+                                    *map(self.lookup, names), *waiting))
             if len(data) > start:
                 lines.append(line)
                 starts.append(start)
 
         return emit
-
-    def _reserve(self, line: Line, k: int, label: Optional[str]):
-        """count [,] [value].  The count never looks forward; the value
-        may, like any data value."""
-        args, pos = line.tokens[k + 1 :], line.pos
-        size = _SIZES[line.tokens[k].text[1]]
-        # late: a fault that reading in order meets after the count
-        values, late = split_values(args)
-        if not values:
-            count = failing(EmitError, "reserve needs a count", pos)
-        else:
-            count, end, *_ = values[0]
-            count = computed(count, args, end)
-        if len(values) > 2:
-            message = "reserve takes a count and at most one value"
-            late = failing(EmitError, message, pos)
-        fill = None  # fixup entry of the fill; None for no fill or '?'
-        if len(values) == 2 and values[1][0] is not None:
-            fn, _, names, reads = values[1]
-            fill = (fn, size, pos, reads)
-        lines, starts = self.image.lines, self.image.starts
-
-        def reserve():
-            if label is not None:
-                self._define_label(label, pos)
-            n = count(self.lookup)
-            if not isinstance(n, int):
-                raise EmitError("reserve count must be an integer", pos)
-            if n < 0:
-                raise EmitError("negative reserve count", pos)
-            if n > self.limits.max_loop:
-                raise LimitError(
-                    f"reserve count exceeds {self.limits.max_loop}", pos
-                )
-            if late is not None:
-                late(self.lookup)
-            value = 0 if fill is None else self._now(fill[0], fill[3])
-            if value is None:
-                self._defer(names, (fill, len(self.image.data), size * n))
-                self.image.data += bytes(size * n)
-            elif not isinstance(value, int):
-                raise EmitError("reserve value must be an integer", pos)
-            else:
-                self.image.data += self._unit_bytes(value, size, pos) * n
-            if n:
-                lines.append(line)
-                starts.append(len(self.image.data) - size * n)
-
-        return reserve
 
     # -- running values --
 
@@ -338,13 +330,6 @@ class _DestHandler:
             return fn(self.lookup)
         except EvalError:
             return None
-
-    def _defer(self, names, waiting) -> None:
-        """Record the fixup of one line run whose values in waiting, as
-        fixup entry, start, nbytes for each, were written as zeros."""
-        self.fixups.append(
-            (len(self.diagnostics), names, *map(self.lookup, names), *waiting)
-        )
 
     def patch(self) -> None:
         """Evaluate the fixups in order and write them in place.
@@ -374,14 +359,6 @@ class _DestHandler:
         if self.image.strict and not -(1 << bits - 1) <= v < 1 << bits:
             raise EmitError(f"value {v} does not fit in {size} byte(s)", pos)
         return (v & ((1 << bits) - 1)).to_bytes(size, self.image.endian)
-
-    def _emit_string(self, s: str, keyword: str, pos: Position) -> None:
-        if keyword != "db":
-            raise EmitError("strings can only be emitted with 'db'", pos)
-        try:
-            self.image.data += s.encode("latin-1")
-        except UnicodeEncodeError:
-            raise EmitError("string has characters above 0xFF", pos) from None
 
 
 def run_dest_phase(

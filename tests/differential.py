@@ -7,6 +7,8 @@
 A side is a source tree (a directory holding the gtrans package) or, with
 --rev, a git revision of this repository: its src is extracted with
 'git archive' into a temp dir.  Revisions fill the old side first.
+--rev needs a git checkout; elsewhere (a 'git archive' copy, say) the
+script exits 1, and two source trees must be given instead.
 Each side runs in its own interpreter over the same programs from
 helpers.gen_programs: a brace-heavy line pool, '#'/'@' control flow,
 class overloads, nested loops with breaks, classes, aliases and
@@ -76,10 +78,16 @@ def _key(row):
 def extract_rev(rev, into):
     """The src tree of a git revision of this repository, under into."""
     repo = Path(__file__).resolve().parent.parent
-    archive = subprocess.run(
-        ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
-        capture_output=True, check=True,
-    ).stdout
+    try:
+        archive = subprocess.run(
+            ["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
+            capture_output=True, check=True,
+        ).stdout
+    except subprocess.CalledProcessError as exc:
+        why = exc.stderr.decode(errors="replace").strip().splitlines()
+        sys.exit(f"--rev {rev}: {why[0] if why else 'git archive failed'}; "
+                 "--rev needs a git checkout, so pass two source trees "
+                 "instead")
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return Path(into) / "src"

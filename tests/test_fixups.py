@@ -107,6 +107,24 @@ def test_forward_fill_and_dotted_forward_name():
     assert hexdata("dw a.b + 1\na.b :\n") == "0300"
 
 
+def test_a_zero_count_reserve_still_checks_its_fill():
+    # a zero count writes nothing, but its fill is still evaluated, at the
+    # run's end when it names a later label, and a fault there is the error
+    assert printed("rb 0, nowhere\n") == ["t.s:1:7: undefined name 'nowhere'"]
+    assert printed("@print 1\nrb 0, nowhere\n@print 2\n") == [
+        "1",
+        "t.s:2:7: undefined name 'nowhere'",
+    ]
+    assert printed("rb 0, later + 300\nlater :\n", strict=True) == [
+        "t.s:1:1: value 300 does not fit in 1 byte(s)"
+    ]
+    assert printed('rb 0, "a"\n') == [
+        "t.s:1:1: reserve value must be an integer"
+    ]
+    src = "rb 0, later\n@print 5\nlater :\n"
+    assert hexdata(src) == "" and printed(src) == ["5"]
+
+
 def test_forward_reference_in_a_loop_raises_nothing(monkeypatch):
     made = []
 
